@@ -1,18 +1,29 @@
-"""Pure-Python hot kernels: stabilizer tableau engine and decode sweep.
+"""Pure-Python hot kernels: stabilizer tableau engine, shot sampler and
+decode sweep.
 
-This module is the reference implementation; ``_kernels.pyx`` is a line-for-
-line C translation.  Both must stay bit-identical: same gate lowering, same
-rowsum phase rule, same RNG arithmetic, same pattern enumeration order.
+``_kernels.pyx`` is a C translation whose ``sample_shots`` still measures
+one tableau copy per shot.  Both must stay bit-identical: same gate
+lowering, same rowsum phase rule, same RNG arithmetic, same pattern
+enumeration order.
 
 Tableau layout (Aaronson-Gottesman): rows 0..n-1 are destabilizers,
 n..2n-1 stabilizers; each row packs its X and Z components into one
 64-bit-capable integer with qubit q at bit q, plus a sign bit.
+
+Shot sampling is affine over GF(2) (reference sample plus frames, as in
+Gidney's Stim): whether measurement q is random does not depend on earlier
+outcomes, and every outcome bit is an XOR of the random bits consumed before
+it.  ``outcome_map`` finds that map with r + 1 measurement passes, where r
+is the number of random measurements, and ``sample_shots`` applies it to
+every shot at once with numpy.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from qgqec._bits import popcount
-from qgqec.rng import MASK64, ShotStream, mix64
+from qgqec.rng import MASK64, ShotStream, first_words, mix64
 
 BACKEND_NAME = "pure"
 MAX_TABLEAU_QUBITS = 64
@@ -171,15 +182,52 @@ class TableauEngine:
         return out
 
 
+class _FixedBits:
+    """Bit source replaying one integer, low bit first; counts bits used."""
+
+    __slots__ = ("word", "used")
+
+    def __init__(self, word: int):
+        self.word = word
+        self.used = 0
+
+    def next_bit(self) -> int:
+        bit = (self.word >> self.used) & 1
+        self.used += 1
+        return bit
+
+
+def outcome_map(engine) -> tuple[int, list[int]]:
+    """(o0, cols): measuring all qubits of `engine` with random bits b_i
+    gives o0 ^ XOR of cols[i] over the set b_i.
+
+    Uses only ``copy`` and ``measure_all``, so it serves either engine and
+    leaves `engine` unchanged.
+    """
+    zeros = _FixedBits(0)
+    o0 = engine.copy().measure_all(zeros)
+    cols = [engine.copy().measure_all(_FixedBits(1 << i)) ^ o0 for i in range(zeros.used)]
+    return o0, cols
+
+
 def sample_shots(num_qubits: int, ops, shots: int, seed: int) -> list[int]:
-    """Simulate once, then measure `shots` independent copies."""
+    """Simulate once, then measure `shots` independent copies.
+
+    Shot s consumes the low r bits of the first word of ``ShotStream(seed,
+    s)`` (r <= n <= 64), so its outcome is o0 XOR one byte-table lookup per
+    8 columns of the outcome map, indexed by the bytes of that word.
+    """
     base = TableauEngine(num_qubits)
     base.apply(ops)
-    out = []
-    for shot in range(shots):
-        t = base.copy()
-        out.append(t.measure_all(ShotStream(seed, shot)))
-    return out
+    o0, cols = outcome_map(base)
+    words = first_words(seed, shots)
+    out = np.full(len(words), o0, dtype=np.uint64)
+    for lo in range(0, len(cols), 8):
+        table = np.zeros(1, dtype=np.uint64)
+        for col in cols[lo:lo + 8]:
+            table = np.concatenate([table, table ^ np.uint64(col)])
+        out ^= table[(words >> np.uint64(lo)) & np.uint64(len(table) - 1)]
+    return out.tolist()
 
 
 def sweep_weight(m: int, codewords, weight: int) -> tuple[int, int]:

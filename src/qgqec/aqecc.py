@@ -183,12 +183,13 @@ def decode(code: QCCode, received: str) -> tuple[str, str, int]:
     if len(received) != m:
         raise ValueError(f"expected {m} bits, got {len(received)}")
     r = bits_to_int(received)
+    codewords = code.codewords()
     best_l, best_d = 0, m + 1
-    for l, cw in enumerate(code.codewords()):
+    for l, cw in enumerate(codewords):
         dist = popcount(r ^ cw)
         if dist < best_d:
             best_l, best_d = l, dist
-    return int_to_bits(best_l, n), int_to_bits(code.codewords()[best_l], m), best_d
+    return int_to_bits(best_l, n), int_to_bits(codewords[best_l], m), best_d
 
 
 def stabilizer_check_operators(code: QCCode) -> list[pauli.PauliOperator]:

@@ -174,9 +174,12 @@ def stats_cmd(input_ref, classifier, reference_id, column, case_name, errors_tex
 
     reference = None
     if reference_id is not None:
-        ref_table = tables.get_table(reference_id)
-        col = column if column else ("QC" if len(ref_table.columns) > 1 else None)
-        reference = tables.reference_for(reference_id, col)
+        try:
+            ref_table = tables.get_table(reference_id)
+            col = column if column else ("QC" if len(ref_table.columns) > 1 else None)
+            reference = tables.reference_for(reference_id, col)
+        except ValueError as exc:
+            raise click.UsageError(str(exc))
 
     for label, value in (
         ("mean", summary.mean),

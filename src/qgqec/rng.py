@@ -4,7 +4,11 @@ Every shot draws from its own SplitMix64 stream keyed by (seed, shot_index),
 so results are reproducible bit-for-bit and independent of shot evaluation
 order.  The compiled kernel re-implements the identical arithmetic in C;
 ``tests/test_kernels.py`` pins the two streams against each other.
+``first_words`` is the same arithmetic on numpy arrays, for samplers that
+need no more than one word per shot.
 """
+
+import numpy as np
 
 MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -21,6 +25,24 @@ def mix64(v: int) -> int:
 def shot_state(seed: int, shot_index: int) -> int:
     """Initial stream state for one shot of one run."""
     return mix64(mix64(seed & MASK64) ^ ((shot_index + _GAMMA) & MASK64))
+
+
+def _mix64_array(v: np.ndarray) -> np.ndarray:
+    v = (v ^ (v >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    v = (v ^ (v >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return v ^ (v >> np.uint64(31))
+
+
+def first_words(seed: int, shots: int) -> np.ndarray:
+    """``ShotStream(seed, s).next_word()`` for s in 0..shots-1, as uint64.
+
+    Every step stays on arrays: uint64 array arithmetic wraps modulo 2^64
+    silently, exactly like the masked Python ints above.
+    """
+    gamma = np.uint64(_GAMMA)
+    index = np.arange(shots, dtype=np.uint64) + gamma
+    state = _mix64_array(index ^ np.uint64(mix64(seed & MASK64)))
+    return _mix64_array(state + gamma)
 
 
 class ShotStream:

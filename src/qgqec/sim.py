@@ -1,23 +1,27 @@
 """Two cross-validating circuit simulators plus shot sampling.
 
 The tableau engine (compiled or pure kernel, chosen at import) simulates
-Clifford circuits exactly at up to 64 qubits.  The dense statevector engine
-(<= 16 qubits) is the exactness oracle and additionally accepts dense 1- and
-2-qubit operators.  Both sample measurements from the same counter-based
-per-shot streams, so identical (circuit, shots, seed) always yields
-identical Counts.
+Clifford circuits exactly at up to 64 qubits.  Its outcomes are an affine
+map over GF(2) of the random measurement bits (``_kernels_py.outcome_map``),
+which gives both the sampled counts and the exact distribution: 2^r
+outcomes o0 ^ span(cols), each with probability 2^-r.  The dense
+statevector engine (<= 16 qubits) is the exactness oracle and additionally
+accepts dense 1- and 2-qubit operators.  Both sample measurements from the
+same counter-based per-shot streams (vectorised by ``rng.first_words``), so
+identical (circuit, shots, seed) always yields identical Counts.
 """
 
 from __future__ import annotations
 
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import numpy as np
 
+from qgqec._kernels_py import outcome_map
 from qgqec.backend import kernels
 from qgqec.circuits import Circuit, Counts
-from qgqec.rng import ShotStream
+from qgqec.rng import first_words
 
 STATEVECTOR_QUBIT_CAP = 16
 PROB_PRUNE = 1e-15
@@ -46,7 +50,8 @@ def _clifford_ops(circuit: Circuit) -> list[tuple[int, int, int]]:
 
 
 def _render(outcome: int, n: int) -> str:
-    return "".join("1" if outcome >> q & 1 else "0" for q in range(n))
+    """Bitstring with qubit 0 leftmost."""
+    return format(outcome, f"0{n}b")[::-1]
 
 
 def tableau_run(circuit: Circuit, shots: int, seed: int) -> Counts:
@@ -54,40 +59,30 @@ def tableau_run(circuit: Circuit, shots: int, seed: int) -> Counts:
     if shots < 1:
         raise ValueError("shots must be >= 1")
     ops = _clifford_ops(circuit)
-    outcomes = kernels.sample_shots(circuit.num_qubits, ops, shots, seed)
-    hist: dict[str, int] = defaultdict(int)
-    for out in outcomes:
-        hist[_render(out, circuit.num_qubits)] += 1
-    return Counts(dict(hist), shots)
+    n = circuit.num_qubits
+    outcomes = Counter(kernels.sample_shots(n, ops, shots, seed))
+    return Counts({_render(out, n): count for out, count in outcomes.items()}, shots)
 
 
 def tableau_distribution(circuit: Circuit) -> dict[str, float]:
-    """Analytic outcome probabilities from the tableau's measurement chain.
+    """Analytic outcome probabilities from the tableau's outcome map.
 
-    Branches on every random measurement (probability 1/2 each way), so the
-    result is exact up to dyadic rationals in floating point.
+    The support is o0 ^ span(cols), 2^r outcomes of probability 2^-r each,
+    so the result is exact (dyadic) in floating point.
     """
     ops = _clifford_ops(circuit)
     n = circuit.num_qubits
     root = kernels.TableauEngine(n)
     root.apply(ops)
-    out: dict[str, float] = defaultdict(float)
-    stack = [(root, 0, 0, 1.0)]
-    while stack:
-        tab, q, bits, prob = stack.pop()
-        while q < n:
-            if tab.is_random(q):
-                left = tab.copy()
-                left.project(q, 0)
-                stack.append((left, q + 1, bits, prob * 0.5))
-                tab.project(q, 1)
-                bits |= 1 << q
-                prob *= 0.5
-            else:
-                bits |= tab.deterministic_outcome(q) << q
-            q += 1
-        out[_render(bits, n)] += prob
-    return dict(out)
+    o0, cols = outcome_map(root)
+    support = [o0]
+    for col in cols:
+        support += [out ^ col for out in support]
+    prob = 0.5 ** len(cols)
+    dist: dict[str, float] = defaultdict(float)
+    for out in support:
+        dist[_render(out, n)] += prob
+    return dict(dist)
 
 
 # -- dense statevector ------------------------------------------------------
@@ -132,20 +127,24 @@ def exact_distribution(circuit: Circuit) -> dict[str, float]:
 
 
 def statevector_run(circuit: Circuit, shots: int, seed: int) -> Counts:
-    """Exact amplitude evolution, sampled with the shared per-shot streams."""
+    """Exact amplitude evolution, sampled with the shared per-shot streams.
+
+    Shot s draws u = (first word >> 11) * 2^-53, the first ``next_float`` of
+    its stream, and lands on the first basis state whose cumulative
+    probability exceeds u.
+    """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     flat = _final_state(circuit).reshape(-1)
     n = circuit.num_qubits
     cumulative = np.cumsum(np.abs(flat) ** 2)
     cumulative /= cumulative[-1]
-    hist: dict[str, int] = defaultdict(int)
-    last = len(cumulative) - 1
-    for shot in range(shots):
-        u = ShotStream(seed, shot).next_float()
-        idx = min(int(np.searchsorted(cumulative, u, side="right")), last)
-        hist[format(idx, f"0{n}b")] += 1
-    return Counts(dict(hist), shots)
+    u = (first_words(seed, shots) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    idx = np.minimum(np.searchsorted(cumulative, u, side="right"), len(cumulative) - 1)
+    states, counts = np.unique(idx, return_counts=True)
+    return Counts(
+        {format(int(i), f"0{n}b"): int(c) for i, c in zip(states, counts)}, shots
+    )
 
 
 # -- cross-validation -------------------------------------------------------

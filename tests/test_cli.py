@@ -199,6 +199,12 @@ def test_stats_malformed_inputs_exit_2(runner, tmp_path):
     assert runner.invoke(main, ["stats", str(bad)]).exit_code == 2
 
 
+def test_stats_unknown_reference_exits_2(runner):
+    result = runner.invoke(main, ["stats", "t2", "--reference", "t9"])
+    assert result.exit_code == 2
+    assert "unknown table 't9'" in result.output
+
+
 def test_stats_repetitions_identical(runner):
     outputs = {invoke(runner, ["stats", "t2", "--reference", "t2"]).output for _ in range(3)}
     assert len(outputs) == 1

@@ -1,0 +1,74 @@
+"""Cross-version pins: sha256 of CLI output for fixed flags.
+
+The digests in ``golden/cli_digests.json`` were recorded from the per-shot
+tableau sampler and the branching distribution enumerator that the affine
+sampler replaced, so any change to sampled counts, report layout or
+cross-check output shows up here.  Re-record only for an intended output
+change:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from qgqec.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "cli_digests.json"
+
+# (case, error-free, P errors, P + 1 errors); P = 1, 1, 2, 5
+ERRORS = {
+    "c1": ("", "3", "0,5"),
+    "c2": ("", "7", "2,9"),
+    "c3": ("", "0,6", "1,5,12"),
+    "c4": ("", "0,3,11,17,28", "0,3,11,17,28,9"),
+}
+SEEDS = (1, 42, 31337)
+
+
+def commands() -> dict[str, list[str]]:
+    out = {}
+    for case, error_sets in ERRORS.items():
+        for errors in error_sets:
+            for seed in SEEDS:
+                for fmt in ("json", "csv"):
+                    argv = ["run", "--case", case, "--shots", "1024", "--seed", str(seed),
+                            "--format", fmt]
+                    if errors:
+                        argv += ["--errors", errors]
+                    out[" ".join(argv)] = argv
+    argv = ["backends-check", "--circuits", "50", "--max-qubits", "12", "--max-gates", "80"]
+    out[" ".join(argv)] = argv
+    return out
+
+
+def digest(argv: list[str]) -> str:
+    result = CliRunner().invoke(main, argv, catch_exceptions=False)
+    assert result.exit_code == 0, result.output
+    return hashlib.sha256(result.stdout_bytes).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def recorded():
+    return json.loads(GOLDEN.read_text())
+
+
+def test_golden_covers_every_command(recorded):
+    assert set(recorded) == set(commands())
+
+
+@pytest.mark.parametrize("key", sorted(commands()))
+def test_cli_output_matches_recorded_digest(recorded, key):
+    assert digest(commands()[key]) == recorded[key]
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    table = {key: digest(argv) for key, argv in sorted(commands().items())}
+    GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+    sys.stdout.write(f"wrote {len(table)} digests to {GOLDEN}\n")

@@ -4,9 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgqec import groups, sim
+from qgqec._kernels_py import TableauEngine, outcome_map
 from qgqec.circuits import Circuit, Counts, parse_circuit
+from qgqec.rng import ShotStream
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 def test_x_gate_all_ones():
@@ -154,6 +160,51 @@ def test_backend_equivalence_subset():
     report = sim.backend_equivalence(num_circuits=30, max_qubits=6, max_gates=30, seed=5)
     assert report["passed"], report["failures"]
     assert report["worst_tv"] <= 1e-9
+
+
+@PROPERTY
+@given(st.integers(1, 10), st.integers(0, 60), st.integers(0, 1 << 62))
+def test_tableau_distribution_is_uniform_on_2_to_the_r_outcomes(n, gates, seed):
+    circuit = sim.random_clifford_circuit(n, gates, seed)
+    engine = TableauEngine(n)
+    engine.apply(sim._clifford_ops(circuit))
+    r = len(outcome_map(engine)[1])
+    dist = sim.tableau_distribution(circuit)
+    assert len(dist) == 2**r
+    assert set(dist.values()) == {2.0**-r}
+    assert sim.total_variation(dist, sim.exact_distribution(circuit)) < 1e-9
+
+
+def statevector_reference(circuit, shots, seed):
+    """The sampler's definition: one stream float per shot, one search each."""
+    flat = sim._final_state(circuit).reshape(-1)
+    cumulative = np.cumsum(np.abs(flat) ** 2)
+    cumulative /= cumulative[-1]
+    hist = {}
+    for shot in range(shots):
+        u = ShotStream(seed, shot).next_float()
+        idx = min(int(np.searchsorted(cumulative, u, side="right")), len(cumulative) - 1)
+        key = format(idx, f"0{circuit.num_qubits}b")
+        hist[key] = hist.get(key, 0) + 1
+    return hist
+
+
+@PROPERTY
+@given(
+    st.integers(1, 8),
+    st.integers(0, 40),
+    st.integers(0, 1 << 62),
+    st.none() | st.floats(-0.9, 0.9),
+    st.integers(1, 500),
+    st.integers(-(1 << 64), 1 << 64),
+)
+def test_statevector_run_equals_per_shot_loop(n, gates, circuit_seed, epsilon, shots, seed):
+    circuit = sim.random_clifford_circuit(n, gates, circuit_seed)
+    if epsilon is not None and n >= 2:
+        circuit.unitary(groups.cz_epsilon(epsilon, "formula"), (0, n - 1))
+    counts = sim.statevector_run(circuit, shots, seed)
+    assert counts.counts == statevector_reference(circuit, shots, seed)
+    assert counts.total_shots == shots
 
 
 def test_circuit_text_round_trip():
