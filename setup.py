@@ -1,27 +1,3 @@
-"""Build the optional compiled kernel.
+from setuptools import setup
 
-The package works without the extension (a pure-Python twin is selected at
-import time), so a missing compiler or Cython must not fail the install.
-"""
-
-from setuptools import Extension, setup
-
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [
-            Extension(
-                "qgqec._kernels",
-                ["src/qgqec/_kernels.pyx"],
-                extra_compile_args=["-O3"],
-                optional=True,
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-except ImportError:
-    pass
-
-setup(ext_modules=ext_modules)
+setup()

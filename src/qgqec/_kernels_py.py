@@ -1,10 +1,6 @@
-"""Pure-Python hot kernels: stabilizer tableau engine, shot sampler and
-decode sweep.
-
-``_kernels.pyx`` is a C translation whose ``sample_shots`` still measures
-one tableau copy per shot.  Both must stay bit-identical: same gate
-lowering, same rowsum phase rule, same RNG arithmetic, same pattern
-enumeration order.
+"""The hot kernels, in Python ints and numpy: stabilizer tableau engine,
+shot sampler and decode sweep.  This is the only kernel module;
+``backend.kernels`` is this module object.
 
 Tableau layout (Aaronson-Gottesman): rows 0..n-1 are destabilizers,
 n..2n-1 stabilizers; each row packs its X and Z components into one
@@ -16,17 +12,32 @@ outcomes, and every outcome bit is an XOR of the random bits consumed before
 it.  ``outcome_map`` finds that map with r + 1 measurement passes, where r
 is the number of random measurements, and ``sample_shots`` applies it to
 every shot at once with numpy.
+
+The decode sweep relies on the code being linear: the distances from a
+received word to all k codewords are the k distances of the error pattern to
+the codewords themselves, re-indexed.  ``sweep_weight`` computes those k - 1
+popcounts per pattern on chunks of at most ``SWEEP_CHUNK`` patterns, so
+memory stays bounded at any weight.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from math import comb
+
 import numpy as np
 
 from qgqec._bits import popcount
-from qgqec.rng import MASK64, ShotStream, first_words, mix64
+from qgqec.rng import ShotStream, first_words
 
 BACKEND_NAME = "pure"
 MAX_TABLEAU_QUBITS = 64
+
+# error patterns per sweep chunk: bounds the sweep's arrays (about 200 KB
+# per sweep thread) at any weight; larger chunks gain little speed
+SWEEP_CHUNK = 4096
+_LOW_BITS = 10
+_LOW_SHIFT = np.uint64(_LOW_BITS)
 
 OP_H, OP_X, OP_Z, OP_CNOT, OP_CZ = 0, 1, 2, 3, 4
 
@@ -128,7 +139,7 @@ class TableauEngine:
     def _rowsum(self, h: int, i: int) -> None:
         # destabilizer targets may hit an odd (imaginary) sum; the sign of a
         # destabilizer is never outcome-visible, so s >> 1 is a fixed
-        # don't-care rule kept identical in both backends
+        # don't-care rule (the affine sampler's columns depend on it)
         s = self._phase_sum(self.xs[i], self.zs[i], self.rs[i], self.xs[h], self.zs[h], self.rs[h])
         self.rs[h] = s >> 1
         self.xs[h] ^= self.xs[i]
@@ -201,8 +212,7 @@ def outcome_map(engine) -> tuple[int, list[int]]:
     """(o0, cols): measuring all qubits of `engine` with random bits b_i
     gives o0 ^ XOR of cols[i] over the set b_i.
 
-    Uses only ``copy`` and ``measure_all``, so it serves either engine and
-    leaves `engine` unchanged.
+    Uses only ``copy`` and ``measure_all``, so it leaves `engine` unchanged.
     """
     zeros = _FixedBits(0)
     o0 = engine.copy().measure_all(zeros)
@@ -230,56 +240,88 @@ def sample_shots(num_qubits: int, ops, shots: int, seed: int) -> list[int]:
     return out.tolist()
 
 
+def _check_linear(m: int, cws: list[int]) -> None:
+    """Reject lists that are not the 2^n codewords of a linear code indexed
+    like ``QCCode.codewords()``: cws[l] is the XOR of cws[2^b] over the bits
+    b set in l, so cws[0] == 0.  O(k) integer operations."""
+    k = len(cws)
+    if k == 0 or k & (k - 1):
+        raise ValueError(f"need 2^n codewords, got {k}")
+    if cws[0] != 0:
+        raise ValueError("codeword 0 must be the zero word")
+    for l in range(1, k):
+        if not 0 <= cws[l] < 1 << m:
+            raise ValueError(f"codeword {l} is not an {m}-bit word")
+        if cws[l] != cws[l & (l - 1)] ^ cws[l & -l]:
+            raise ValueError(f"codeword {l} is not the XOR of its basis words")
+
+
+@lru_cache(maxsize=1)
+def _low_table() -> list[np.ndarray]:
+    """Ascending masks of _LOW_BITS bits, one array per popcount (built on
+    first use, so commands that never sweep do not pay for it)."""
+    masks = np.arange(1 << _LOW_BITS, dtype=np.uint64)
+    counts = np.bitwise_count(masks)
+    table = [masks[counts == w] for w in range(_LOW_BITS + 1)]
+    for row in table:
+        row.flags.writeable = False  # _weight_masks yields views of it
+    return table
+
+
+def _weight_masks(m: int, weight: int, limit: int):
+    """Every m-bit mask of exactly `weight` set bits once, in arrays of at
+    most `limit` uint64 entries.
+
+    Up to ``_LOW_BITS`` bits a mask set is a prefix of one ascending table;
+    above that each mask is a high part (recursively, in chunks sized so the
+    product stays within `limit`) joined with every low part of the
+    remaining weight.
+    """
+    if m <= _LOW_BITS:
+        table = _low_table()[weight][:comb(m, weight)]
+        for i in range(0, len(table), limit):
+            yield table[i:i + limit]
+        return
+    high_bits = m - _LOW_BITS
+    for low_weight in range(max(0, weight - high_bits), min(weight, _LOW_BITS) + 1):
+        low = _low_table()[low_weight]
+        for high in _weight_masks(high_bits, weight - low_weight, max(1, limit // len(low))):
+            block = ((high << _LOW_SHIFT)[:, None] | low).ravel()
+            for i in range(0, len(block), limit):
+                yield block[i:i + limit]
+
+
 def sweep_weight(m: int, codewords, weight: int) -> tuple[int, int]:
-    """Decode codeword ^ pattern for every codeword and every error pattern
-    of exactly `weight` flips (Gosper enumeration, ascending masks).
+    """Decode codeword ^ pattern for every codeword of a linear code and
+    every m-bit error pattern of exactly `weight` flips.
 
     Returns (cases, corrected) where a case is one (pattern, codeword) pair
-    and corrected means minimum-distance decoding returned that codeword.
+    and corrected means minimum-distance decoding (ties to the smallest
+    index, as ``aqecc.decode``) returned that codeword.
+
+    Linearity makes one pass over the k - 1 distances D[t] = wt(e ^ cw_t)
+    per pattern e enough: received cw_l ^ e lies at D[l ^ j] from cw_j, and
+    D[0] = weight.  Decoding returns l iff D[t] > weight for every t != 0
+    whose top bit is set in l and D[t] >= weight for the rest, so with M_b
+    the least D[t] over the t of top bit b, the pattern is corrected for
+    prod_b ([M_b >= weight] + [M_b > weight]) of the k codewords.  Patterns
+    are processed in numpy chunks of at most ``SWEEP_CHUNK``.
     """
     if weight < 1 or weight > m:
         return 0, 0
+    if m > 64:
+        raise ValueError("sweep supports at most 64 physical bits")
     cws = list(codewords)
-    k = len(cws)
-    limit = 1 << m
-    cases = corrected = 0
-    pattern = (1 << weight) - 1
-    while pattern < limit:
-        for l in range(k):
-            received = cws[l] ^ pattern
-            best_l, best_d = 0, m + 1
-            for j in range(k):
-                dist = popcount(received ^ cws[j])
-                if dist < best_d:
-                    best_l, best_d = j, dist
-            cases += 1
-            if best_l == l:
-                corrected += 1
-        u = pattern & -pattern
-        v = pattern + u
-        pattern = v | (((v ^ pattern) // u) >> 2)
-    return cases, corrected
-
-
-def rng_words(seed: int, shot_index: int, count: int) -> list[int]:
-    """Test hook: the first `count` raw words of one shot stream."""
-    stream = ShotStream(seed, shot_index)
-    return [stream.next_word() for _ in range(count)]
-
-
-# re-exported so both backends expose one surface
-__all__ = [
-    "BACKEND_NAME",
-    "MAX_TABLEAU_QUBITS",
-    "OP_H",
-    "OP_X",
-    "OP_Z",
-    "OP_CNOT",
-    "OP_CZ",
-    "TableauEngine",
-    "sample_shots",
-    "sweep_weight",
-    "rng_words",
-    "mix64",
-    "MASK64",
-]
+    _check_linear(m, cws)
+    words = np.array(cws, dtype=np.uint64)
+    patterns = corrected = 0
+    for errors in _weight_masks(m, weight, SWEEP_CHUNK):
+        counts = np.ones(len(errors), dtype=np.int64)
+        for b in range(len(cws).bit_length() - 1):
+            least = np.bitwise_count(errors ^ words[1 << b])
+            for t in range((1 << b) + 1, 2 << b):
+                np.minimum(least, np.bitwise_count(errors ^ words[t]), out=least)
+            counts *= (least >= weight).astype(np.int64) + (least > weight)
+        patterns += len(errors)
+        corrected += int(counts.sum())
+    return patterns * len(cws), corrected

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 from qgqec import gf2, pauli
 from qgqec._bits import bits_to_int, int_to_bits, popcount, rotl
@@ -135,9 +136,14 @@ def build_qc_code(case) -> QCCode:
 
     k = 1 presets use the weight-d prefix base directly; k > 1 presets take
     the lexicographically first base whose stride-shifted rows are full rank
-    with brute-force distance exactly d.
+    with brute-force distance exactly d.  Built once per case: the result
+    is frozen, so every caller shares it.
     """
-    case = case if isinstance(case, CaseId) else CaseId.parse(case)
+    return _build_qc_code(case if isinstance(case, CaseId) else CaseId.parse(case))
+
+
+@lru_cache(maxsize=None)
+def _build_qc_code(case: CaseId) -> QCCode:
     m, n, d = case.m_physical, case.n_logical, case.distance
     stride = m // n
     if n == 1:

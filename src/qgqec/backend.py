@@ -1,51 +1,17 @@
-"""Kernel backend selection.
+"""The kernel module the library calls through.
 
-The compiled extension is preferred when importable; set QGQEC_BACKEND=pure
-(or =compiled) to force a choice.  Both backends expose the same surface and
-produce bit-identical results, so the selection never changes outputs.
+There is one kernel path, ``qgqec._kernels_py`` (numpy and Python ints).
+Callers reach it as ``backend.kernels`` so that a tracer can wrap its
+functions on that one module object.
 """
 
 from __future__ import annotations
 
-import os
-
 from qgqec import _kernels_py
 
-
-def _load(name: str):
-    if name == "pure":
-        return _kernels_py
-    if name == "compiled":
-        from qgqec import _kernels  # type: ignore[attr-defined]
-
-        return _kernels
-    raise ValueError(f"QGQEC_BACKEND must be 'pure' or 'compiled', got {name!r}")
-
-
-def _select():
-    forced = os.environ.get("QGQEC_BACKEND")
-    if forced:
-        return _load(forced.strip().lower())
-    try:
-        return _load("compiled")
-    except ImportError:
-        return _kernels_py
-
-
-kernels = _select()
+kernels = _kernels_py
 BACKEND_NAME: str = kernels.BACKEND_NAME
 
 
 def available_backends() -> list[str]:
-    names = ["pure"]
-    try:
-        _load("compiled")
-        names.append("compiled")
-    except ImportError:
-        pass
-    return names
-
-
-def get_backend(name: str | None = None):
-    """The active kernel module, or a specific one by name."""
-    return kernels if name is None else _load(name)
+    return [BACKEND_NAME]

@@ -2,10 +2,9 @@
 
 Every shot draws from its own SplitMix64 stream keyed by (seed, shot_index),
 so results are reproducible bit-for-bit and independent of shot evaluation
-order.  The compiled kernel re-implements the identical arithmetic in C;
-``tests/test_kernels.py`` pins the two streams against each other.
-``first_words`` is the same arithmetic on numpy arrays, for samplers that
-need no more than one word per shot.
+order.  ``first_words`` is the same arithmetic on numpy arrays, for
+samplers that need no more than one word per shot; ``tests/test_kernels.py``
+pins it against the scalar ``ShotStream``.
 """
 
 import numpy as np

@@ -1,14 +1,14 @@
 """Two cross-validating circuit simulators plus shot sampling.
 
-The tableau engine (compiled or pure kernel, chosen at import) simulates
-Clifford circuits exactly at up to 64 qubits.  Its outcomes are an affine
-map over GF(2) of the random measurement bits (``_kernels_py.outcome_map``),
-which gives both the sampled counts and the exact distribution: 2^r
-outcomes o0 ^ span(cols), each with probability 2^-r.  The dense
-statevector engine (<= 16 qubits) is the exactness oracle and additionally
-accepts dense 1- and 2-qubit operators.  Both sample measurements from the
-same counter-based per-shot streams (vectorised by ``rng.first_words``), so
-identical (circuit, shots, seed) always yields identical Counts.
+The tableau engine (``backend.kernels``) simulates Clifford circuits exactly
+at up to 64 qubits.  Its outcomes are an affine map over GF(2) of the random
+measurement bits (``_kernels_py.outcome_map``), which gives both the sampled
+counts and the exact distribution: 2^r outcomes o0 ^ span(cols), each with
+probability 2^-r.  The dense statevector engine (<= 16 qubits) is the
+exactness oracle and additionally accepts dense 1- and 2-qubit operators.
+Both sample measurements from the same counter-based per-shot streams
+(vectorised by ``rng.first_words``), so identical (circuit, shots, seed)
+always yields identical Counts.
 """
 
 from __future__ import annotations
@@ -120,9 +120,8 @@ def exact_distribution(circuit: Circuit) -> dict[str, float]:
     n = circuit.num_qubits
     probs = np.abs(flat) ** 2
     return {
-        format(idx, f"0{n}b"): float(p)
-        for idx, p in enumerate(probs)
-        if p > PROB_PRUNE
+        format(idx, f"0{n}b"): float(probs[idx])
+        for idx in np.flatnonzero(probs > PROB_PRUNE).tolist()
     }
 
 

@@ -220,3 +220,10 @@ def test_invalid_code_rejected():
 def test_build_unknown_case():
     with pytest.raises(ValueError):
         aqecc.build_qc_code("C9")
+
+
+def test_build_qc_code_is_built_once_per_case():
+    for case in CaseId:
+        code = aqecc.build_qc_code(case)
+        assert aqecc.build_qc_code(case.name.lower()) is code
+        assert aqecc.build_qc_code(case.name) is code

@@ -1,9 +1,11 @@
 """Cross-version pins: sha256 of CLI output for fixed flags.
 
-The digests in ``golden/cli_digests.json`` were recorded from the per-shot
-tableau sampler and the branching distribution enumerator that the affine
-sampler replaced, so any change to sampled counts, report layout or
-cross-check output shows up here.  Re-record only for an intended output
+The ``run`` and ``backends-check`` digests in ``golden/cli_digests.json``
+were recorded from the per-shot tableau sampler and the branching
+distribution enumerator that the affine sampler replaced; the ``sweep``,
+``export-code`` and ``stats`` digests from the k^2-popcount Python decode
+sweep that the linear numpy sweep replaced.  Any change to sampled counts,
+sweep counts, report layout or cross-check output shows up here.  Re-record only for an intended output
 change:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -30,6 +32,21 @@ ERRORS = {
 }
 SEEDS = (1, 42, 31337)
 
+# default weight P, beyond-P weights, and fixed thread counts (output must
+# not depend on --threads)
+SWEEPS = [["sweep", "--case", case] for case in ERRORS]
+SWEEPS += [["sweep", "--case", case, "--max-weight", w]
+           for case, w in (("c1", "8"), ("c2", "10"), ("c3", "13"), ("c4", "6"))]
+SWEEPS += [["sweep", "--case", case, "--threads", t] + extra
+           for t in ("1", "3")
+           for case, extra in (("c4", []), ("c2", ["--max-weight", "10"]))]
+EXPORTS = [["export-code", "--case", case] for case in ERRORS]
+STATS = [["stats", f"t{i}", "--reference", f"t{i}"] for i in range(1, 5)]
+STATS += [["stats", f"t{i}", "--reference", f"t{i}", "--column", col]
+          for i in range(5, 9) for col in ("qc", "gt")]
+STATS += [["stats", "t1", "--classifier", "decoded"],
+          ["stats", "t8", "--column", "qc", "--classifier", "decoded", "--reference", "t8"]]
+
 
 def commands() -> dict[str, list[str]]:
     out = {}
@@ -44,6 +61,8 @@ def commands() -> dict[str, list[str]]:
                     out[" ".join(argv)] = argv
     argv = ["backends-check", "--circuits", "50", "--max-qubits", "12", "--max-gates", "80"]
     out[" ".join(argv)] = argv
+    for argv in SWEEPS + EXPORTS + STATS:
+        out[" ".join(argv)] = argv
     return out
 
 

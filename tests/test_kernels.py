@@ -1,40 +1,22 @@
 """Kernel tests: the affine shot sampler against the per-shot tableau loop,
-the vectorised RNG against the scalar streams, and pure-vs-compiled parity
-(both backends must be bit-identical; skipped when the extension is absent).
+the vectorised RNG against the scalar streams, and the linear numpy decode
+sweep against the per-pattern k^2 decode loop it replaced (random linear
+codes, small chunk sizes so chunk boundaries are crossed).
 """
 
-import os
-import random
-import subprocess
-import sys
+import tracemalloc
+from itertools import combinations
+from math import comb
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qgqec import aqecc, backend, experiments, sim
+from qgqec import aqecc, experiments, gf2, sim
+from qgqec.backend import kernels as pure
 from qgqec.cases import CaseId
 from qgqec.rng import ShotStream, first_words
-
-pure = backend.get_backend("pure")
-try:
-    compiled = backend.get_backend("compiled")
-except ImportError:
-    compiled = None
-
-needs_compiled = pytest.mark.skipif(compiled is None, reason="compiled kernel not built")
-
-
-def random_ops(rnd, n, count):
-    ops = []
-    for _ in range(count):
-        code = rnd.randrange(5)
-        if code >= 3 and n >= 2:
-            a, b = rnd.sample(range(n), 2)
-            ops.append((code, a, b))
-        else:
-            ops.append((min(code, 2), rnd.randrange(n), 0))
-    return ops
 
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -113,104 +95,188 @@ def test_first_words_equal_scalar_streams(seed, shots):
     assert words.tolist() == [ShotStream(seed, s).next_word() for s in range(shots)]
 
 
-@needs_compiled
-def test_rng_stream_parity():
-    rnd = random.Random(1)
-    for _ in range(50):
-        seed = rnd.randrange(1 << 63)
-        shot = rnd.randrange(1 << 20)
-        assert pure.rng_words(seed, shot, 4) == compiled.rng_words(seed, shot, 4)
-    assert pure.mix64(0) == compiled.mix64(0)
-    assert pure.mix64((1 << 64) - 1) == compiled.mix64((1 << 64) - 1)
-
-
-@needs_compiled
-def test_sample_shots_parity():
-    rnd = random.Random(2)
-    for _ in range(25):
-        n = rnd.randint(1, 10)
-        ops = random_ops(rnd, n, rnd.randint(0, 40))
-        seed = rnd.randrange(1 << 62)
-        shots = rnd.randint(1, 64)
-        assert pure.sample_shots(n, ops, shots, seed) == compiled.sample_shots(n, ops, shots, seed)
-
-
-@needs_compiled
-def test_sample_shots_parity_wide_register():
-    rnd = random.Random(3)
-    ops = random_ops(rnd, 40, 60)
-    assert pure.sample_shots(40, ops, 32, 99) == compiled.sample_shots(40, ops, 32, 99)
-
-
-@needs_compiled
-def test_engine_step_parity():
-    rnd = random.Random(4)
-    for _ in range(20):
-        n = rnd.randint(1, 8)
-        ops = random_ops(rnd, n, rnd.randint(0, 30))
-        a = pure.TableauEngine(n)
-        b = compiled.TableauEngine(n)
-        a.apply(ops)
-        b.apply(ops)
-        for q in range(n):
-            ra, rb = a.is_random(q), b.is_random(q)
-            assert ra == rb
-            if ra:
-                bit = rnd.randrange(2)
-                a.project(q, bit)
-                b.project(q, bit)
-            else:
-                assert a.deterministic_outcome(q) == b.deterministic_outcome(q)
-
-
-@needs_compiled
-def test_sweep_weight_parity():
-    for case in ("C1", "C2", "C3"):
-        code = aqecc.build_qc_code(case)
-        cws = code.codewords()
-        m = code.spec.m_physical
-        for w in range(1, 4):
-            assert pure.sweep_weight(m, cws, w) == compiled.sweep_weight(m, cws, w)
-    assert pure.sweep_weight(5, [0b10101], 0) == (0, 0)
-    assert compiled.sweep_weight(5, [0b10101], 99) == (0, 0)
-
-
-@needs_compiled
 def test_engine_copy_is_independent():
-    for mod in (pure, compiled):
-        eng = mod.TableauEngine(3)
-        eng.apply([(0, 0, 0), (3, 0, 1)])
-        dup = eng.copy()
-        assert dup.is_random(0)
-        dup.project(0, 1)
-        # original unchanged: still random on qubit 0
-        assert eng.is_random(0)
-
-
-def test_backend_env_override():
-    env = dict(os.environ, QGQEC_BACKEND="pure")
-    out = subprocess.run(
-        [sys.executable, "-c", "from qgqec.backend import BACKEND_NAME; print(BACKEND_NAME)"],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    assert out.stdout.strip() == "pure"
-    env["QGQEC_BACKEND"] = "bogus"
-    bad = subprocess.run(
-        [sys.executable, "-c", "import qgqec.backend"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert bad.returncode != 0
+    eng = pure.TableauEngine(3)
+    eng.apply([(0, 0, 0), (3, 0, 1)])
+    dup = eng.copy()
+    assert dup.is_random(0)
+    dup.project(0, 1)
+    # original unchanged: still random on qubit 0
+    assert eng.is_random(0)
 
 
 def test_tableau_qubit_caps():
-    for mod in [m for m in (pure, compiled) if m is not None]:
+    with pytest.raises(ValueError):
+        pure.TableauEngine(0)
+    with pytest.raises(ValueError):
+        pure.TableauEngine(65)
+    pure.TableauEngine(64)  # boundary is allowed
+
+
+# -- decode sweep -----------------------------------------------------------
+
+
+def per_pattern_reference(m, cws, weight):
+    """The sweep's definition: decode every codeword ^ pattern against all
+    k codewords (k^2 popcounts per pattern, ties to the smallest index)."""
+    if weight < 1 or weight > m:
+        return 0, 0
+    cases = corrected = 0
+    for flips in combinations(range(m), weight):
+        pattern = sum(1 << b for b in flips)
+        for l, cw in enumerate(cws):
+            received = cw ^ pattern
+            best_l, best_d = 0, m + 1
+            for j, other in enumerate(cws):
+                dist = (received ^ other).bit_count()
+                if dist < best_d:
+                    best_l, best_d = j, dist
+            cases += 1
+            corrected += best_l == l
+    return cases, corrected
+
+
+def span(rows):
+    """Codewords indexed like ``QCCode.codewords()``: bit n-1-j of the index
+    selects row j."""
+    n = len(rows)
+    out = []
+    for l in range(1 << n):
+        v = 0
+        for j in range(n):
+            if l >> (n - 1 - j) & 1:
+                v ^= rows[j]
+        out.append(v)
+    return out
+
+
+@st.composite
+def linear_codes(draw, max_bits=14, max_logical=4):
+    """(m, full-rank generator rows) with m <= max_bits, n <= max_logical."""
+    m = draw(st.integers(1, max_bits))
+    n = draw(st.integers(1, min(m, max_logical)))
+    rows = draw(st.lists(st.integers(1, (1 << m) - 1), min_size=n, max_size=n))
+    assume(gf2.rank(rows, m) == n)
+    return m, rows
+
+
+@PROPERTY
+@given(linear_codes(), st.data())
+def test_sweep_weight_equals_per_pattern_loop(code, data):
+    m, rows = code
+    cws = span(rows)
+    weight = data.draw(st.integers(1, m))
+    chunk = data.draw(st.integers(1, 40))
+    with mock.patch.object(pure, "SWEEP_CHUNK", chunk):
+        assert pure.sweep_weight(m, cws, weight) == per_pattern_reference(m, cws, weight)
+
+
+@PROPERTY
+@given(linear_codes(max_bits=20, max_logical=5))
+def test_sweep_totals_and_capability(code):
+    m, rows = code
+    cws = span(rows)
+    d = aqecc.min_distance([format(r, f"0{m}b") for r in rows])
+    p = aqecc.correctable_errors(d)
+    for w in range(0, m + 2):
+        cases, corrected = pure.sweep_weight(m, cws, w)
+        assert cases == (len(cws) * comb(m, w) if 1 <= w <= m else 0)
+        assert 0 <= corrected <= cases
+        if 1 <= w <= p:
+            assert corrected == cases
+
+
+def test_sweep_weight_outside_1_to_m_is_empty():
+    assert pure.sweep_weight(5, [0b10101], 0) == (0, 0)
+    cws = span([0b1110000, 0b0001111])
+    assert pure.sweep_weight(7, cws, 0) == (0, 0)
+    assert pure.sweep_weight(7, cws, 8) == (0, 0)
+    assert pure.sweep_weight(7, cws, 99) == (0, 0)
+    assert pure.sweep_weight(7, cws, 7) == (4, 0)
+
+
+def test_sweep_weight_rejects_non_linear_codeword_lists():
+    cws = span([0b1110000, 0b0001111])
+    assert pure.sweep_weight(7, cws, 1) == (28, 28)
+    bad = {
+        "no entries": [],
+        "three entries": cws[:3],
+        "nonzero first word": [0b1] + cws[1:],
+        "not closed under XOR": cws[:3] + [0b1010101],
+        "wider than m bits": span([0b11100000, 0b0001111]),
+    }
+    for name, words in bad.items():
         with pytest.raises(ValueError):
-            mod.TableauEngine(0)
-        with pytest.raises(ValueError):
-            mod.TableauEngine(65)
-        mod.TableauEngine(64)  # boundary is allowed
+            pure.sweep_weight(7, words, 1)
+    with pytest.raises(ValueError):
+        pure.sweep_weight(65, [0], 1)
+
+
+@PROPERTY
+@given(linear_codes(max_logical=4), st.data())
+def test_sweep_weight_rejects_one_corrupted_codeword(code, data):
+    m, rows = code
+    cws = span(rows)
+    # any change to a basis word cws[2^b] leaves another linear list
+    index = data.draw(st.sampled_from([l for l in range(len(cws)) if l & (l - 1) or l == 0]))
+    cws[index] ^= 1 << data.draw(st.integers(0, m - 1))
+    with pytest.raises(ValueError):
+        pure.sweep_weight(m, cws, 1)
+
+
+@PROPERTY
+@given(st.integers(1, 22), st.data())
+def test_weight_masks_cover_each_mask_once_in_bounded_chunks(m, data):
+    weight = data.draw(st.integers(0, m))
+    total = comb(m, weight)
+    limit = data.draw(st.integers(max(1, total // 2000), 4096))
+    chunks = list(pure._weight_masks(m, weight, limit))
+    assert all(0 < len(c) <= limit for c in chunks)
+    masks = [int(v) for c in chunks for v in c.tolist()]
+    assert len(masks) == len(set(masks)) == total
+    assert all(0 <= v < 1 << m and v.bit_count() == weight for v in masks)
+
+
+@pytest.mark.parametrize("chunk", [7, 50])
+def test_sweep_chunks_never_exceed_the_constant(chunk):
+    seen = []
+    masks = pure._weight_masks
+
+    def recording(m, weight, limit):
+        for errors in masks(m, weight, limit):
+            if m == 29:  # the chunks sweep_weight decodes, not the high parts
+                seen.append(len(errors))
+            yield errors
+
+    code = aqecc.build_qc_code("C4")
+    with mock.patch.object(pure, "SWEEP_CHUNK", chunk), \
+            mock.patch.object(pure, "_weight_masks", recording):
+        assert pure.sweep_weight(29, code.codewords(), 3) == (2 * comb(29, 3), 2 * comb(29, 3))
+    assert sum(seen) == comb(29, 3) and max(seen) <= chunk
+
+
+@pytest.mark.parametrize("chunk", [512, 4096])
+def test_sweep_memory_is_bounded_by_the_chunk(chunk):
+    # a chunk's arrays (masks, XOR temporary, int64 counts) take about 50
+    # bytes per pattern; C4 at weight 8 has 4.3M patterns
+    cws = aqecc.build_qc_code("C4").codewords()
+    pure._low_table()
+    with mock.patch.object(pure, "SWEEP_CHUNK", chunk):
+        for weight in (6, 8):
+            tracemalloc.start()
+            try:
+                pure.sweep_weight(29, cws, weight)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 100 * chunk + 32768
+
+
+@pytest.mark.parametrize("case", list(CaseId))
+def test_sweep_weight_on_presets_equals_per_pattern_loop(case):
+    code = aqecc.build_qc_code(case)
+    m = case.m_physical
+    cws = code.codewords()
+    for w in (1, case.capability, case.capability + 1) if m > 14 else range(m + 1):
+        with mock.patch.object(pure, "SWEEP_CHUNK", 50):
+            assert pure.sweep_weight(m, cws, w) == per_pattern_reference(m, cws, w)

@@ -207,6 +207,18 @@ def test_statevector_run_equals_per_shot_loop(n, gates, circuit_seed, epsilon, s
     assert counts.total_shots == shots
 
 
+@PROPERTY
+@given(st.integers(1, 8), st.integers(0, 40), st.integers(0, 1 << 62), st.none() | st.floats(-0.9, 0.9))
+def test_exact_distribution_equals_full_amplitude_scan(n, gates, circuit_seed, epsilon):
+    circuit = sim.random_clifford_circuit(n, gates, circuit_seed)
+    if epsilon is not None and n >= 2:
+        circuit.unitary(groups.cz_epsilon(epsilon, "formula"), (0, n - 1))
+    probs = np.abs(sim._final_state(circuit).reshape(-1)) ** 2
+    scan = {format(i, f"0{n}b"): float(p) for i, p in enumerate(probs) if p > sim.PROB_PRUNE}
+    dist = sim.exact_distribution(circuit)
+    assert list(dist.items()) == list(scan.items())
+
+
 def test_circuit_text_round_trip():
     c = Circuit(4).h(0).cnot(0, 3).cz(1, 2).x(3).z(2)
     text = c.to_text()
