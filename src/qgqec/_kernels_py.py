@@ -9,9 +9,9 @@ n..2n-1 stabilizers; each row packs its X and Z components into one
 Shot sampling is affine over GF(2) (reference sample plus frames, as in
 Gidney's Stim): whether measurement q is random does not depend on earlier
 outcomes, and every outcome bit is an XOR of the random bits consumed before
-it.  ``outcome_map`` finds that map with r + 1 measurement passes, where r
-is the number of random measurements, and ``sample_shots`` applies it to
-every shot at once with numpy.
+it.  ``outcome_map`` finds that map in one measurement pass with every
+random bit 0, tracking one Pauli frame per random measurement, and
+``sample_shots`` applies it to every shot at once with numpy.
 
 The decode sweep relies on the code being linear: the distances from a
 received word to all k codewords are the k distances of the error pattern to
@@ -33,8 +33,8 @@ from qgqec.rng import ShotStream, first_words
 BACKEND_NAME = "pure"
 MAX_TABLEAU_QUBITS = 64
 
-# error patterns per sweep chunk: bounds the sweep's arrays (about 200 KB
-# per sweep thread) at any weight; larger chunks gain little speed
+# error patterns per sweep chunk: bounds the sweep's arrays (about 200 KB)
+# at any weight; larger chunks gain little speed
 SWEEP_CHUNK = 4096
 _LOW_BITS = 10
 _LOW_SHIFT = np.uint64(_LOW_BITS)
@@ -155,8 +155,10 @@ class TableauEngine:
                 return True
         return False
 
-    def project(self, q: int, outcome: int) -> None:
-        """Collapse a random Z measurement of qubit q to the given outcome."""
+    def project(self, q: int, outcome: int) -> int:
+        """Collapse a random Z measurement of qubit q to the given outcome and
+        return the X mask of the replaced stabilizer, the Pauli that maps the
+        state after one outcome to the state after the other."""
         n, bit = self.n, 1 << q
         xs, zs, rs = self.xs, self.zs, self.rs
         p = next(i for i in range(n, 2 * n) if xs[i] & bit)
@@ -167,6 +169,7 @@ class TableauEngine:
         xs[p] = 0
         zs[p] = bit
         rs[p] = outcome
+        return xs[p - n]
 
     def deterministic_outcome(self, q: int) -> int:
         bit = 1 << q
@@ -193,30 +196,30 @@ class TableauEngine:
         return out
 
 
-class _FixedBits:
-    """Bit source replaying one integer, low bit first; counts bits used."""
-
-    __slots__ = ("word", "used")
-
-    def __init__(self, word: int):
-        self.word = word
-        self.used = 0
-
-    def next_bit(self) -> int:
-        bit = (self.word >> self.used) & 1
-        self.used += 1
-        return bit
-
-
 def outcome_map(engine) -> tuple[int, list[int]]:
     """(o0, cols): measuring all qubits of `engine` with random bits b_i
     gives o0 ^ XOR of cols[i] over the set b_i.
 
-    Uses only ``copy`` and ``measure_all``, so it leaves `engine` unchanged.
+    One pass over one copy with every random bit 0 gives o0.  Flipping bit
+    i applies the Pauli frame of measurement i, whose X mask flips every
+    later deterministic outcome it touches; a later random measurement keeps
+    its own bit, so it multiplies its own Pauli into every frame it flips.
+    `engine` is left unchanged.
     """
-    zeros = _FixedBits(0)
-    o0 = engine.copy().measure_all(zeros)
-    cols = [engine.copy().measure_all(_FixedBits(1 << i)) ^ o0 for i in range(zeros.used)]
+    t = engine.copy()
+    o0 = 0
+    frames: list[int] = []
+    cols: list[int] = []
+    for q in range(t.n):
+        bit = 1 << q
+        if t.is_random(q):
+            flip = t.project(q, 0)
+            frames = [f ^ flip if f & bit else f for f in frames]
+            frames.append(flip)
+            cols.append(bit)
+        else:
+            o0 |= t.deterministic_outcome(q) << q
+            cols = [c | bit if f & bit else c for c, f in zip(cols, frames)]
     return o0, cols
 
 

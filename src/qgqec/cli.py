@@ -10,7 +10,6 @@ seed, an explicit --seed wins over both.
 from __future__ import annotations
 
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -88,7 +87,8 @@ def run(case_name, family, shots, seed, errors_text, out_path, fmt, barchart_pat
 @main.command()
 @click.option("--case", "case_name", type=CASE_CHOICES, required=True)
 @click.option("--max-weight", type=int, default=None, help="Defaults to the case capability P.")
-@click.option("--threads", type=int, default=None, help="Sweep parallelism (default: available cores).")
+@click.option("--threads", type=int, default=None,
+              help="Accepted for compatibility; the sweep runs on one thread.")
 @click.option("--out", "out_path", default=None, help="Optional JSON summary file.")
 def sweep(case_name, max_weight, threads, out_path):
     """Exhaustively decode every error pattern up to a weight."""
@@ -97,8 +97,6 @@ def sweep(case_name, max_weight, threads, out_path):
         max_weight = case.capability
     if max_weight < 1:
         raise click.UsageError("--max-weight must be >= 1")
-    if threads is None:
-        threads = os.cpu_count() or 1
     result = experiments.exhaustive_correction_sweep(case, max_weight, threads)
     for w, tested, corrected in result.per_weight:
         click.echo(f"weight {w}: {corrected}/{tested} corrected")
@@ -207,9 +205,10 @@ def export_code(case_name, out_path):
 
 
 @main.command(name="backends-check")
-@click.option("--circuits", type=int, default=200, show_default=True)
-@click.option("--max-qubits", type=int, default=8, show_default=True)
-@click.option("--max-gates", type=int, default=40, show_default=True)
+@click.option("--circuits", type=click.IntRange(min=0), default=200, show_default=True)
+@click.option("--max-qubits", type=click.IntRange(1, sim.STATEVECTOR_QUBIT_CAP), default=8,
+              show_default=True)
+@click.option("--max-gates", type=click.IntRange(min=1), default=40, show_default=True)
 @_seed_option
 def backends_check(circuits, max_qubits, max_gates, seed):
     """Cross-validate the tableau engine against the dense oracle."""

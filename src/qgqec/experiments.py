@@ -4,7 +4,6 @@ classify, and exhaustively certify correction capability."""
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from qgqec import aqecc, sim, stats
@@ -210,23 +209,18 @@ class SweepResult:
 
 def exhaustive_correction_sweep(case, max_weight: int, threads: int | None = None) -> SweepResult:
     """Classically decode codeword ^ pattern for every codeword and every
-    error pattern of weight 1..max_weight.  Thread-count never changes the
-    result (pure reduction over disjoint pattern sets)."""
+    error pattern of weight 1..max_weight, one ``kernels.sweep_weight`` call
+    per weight on the calling thread.  `threads` is accepted for
+    compatibility and changes nothing: each weight is a millisecond-scale
+    numpy call, which a thread pool only slowed down."""
     case = case if isinstance(case, CaseId) else CaseId.parse(case)
     if max_weight < 1:
         raise ValueError("max_weight must be >= 1")
-    code = aqecc.build_qc_code(case)
-    codewords = code.codewords()
+    codewords = aqecc.build_qc_code(case).codewords()
     m = case.m_physical
-    weights = list(range(1, max_weight + 1))
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda w: kernels.sweep_weight(m, codewords, w), weights))
-    else:
-        results = [kernels.sweep_weight(m, codewords, w) for w in weights]
-
-    per_weight = tuple((w, t, c) for w, (t, c) in zip(weights, results))
+    per_weight = tuple(
+        (w, *kernels.sweep_weight(m, codewords, w)) for w in range(1, max_weight + 1)
+    )
     return SweepResult(
         case=case,
         max_weight=max_weight,

@@ -2,7 +2,7 @@
 
 The tableau engine (``backend.kernels``) simulates Clifford circuits exactly
 at up to 64 qubits.  Its outcomes are an affine map over GF(2) of the random
-measurement bits (``_kernels_py.outcome_map``), which gives both the sampled
+measurement bits (``kernels.outcome_map``), which gives both the sampled
 counts and the exact distribution: 2^r outcomes o0 ^ span(cols), each with
 probability 2^-r.  The dense statevector engine (<= 16 qubits) is the
 exactness oracle and additionally accepts dense 1- and 2-qubit operators.
@@ -18,7 +18,6 @@ from collections import Counter, defaultdict
 
 import numpy as np
 
-from qgqec._kernels_py import outcome_map
 from qgqec.backend import kernels
 from qgqec.circuits import Circuit, Counts
 from qgqec.rng import first_words
@@ -74,7 +73,7 @@ def tableau_distribution(circuit: Circuit) -> dict[str, float]:
     n = circuit.num_qubits
     root = kernels.TableauEngine(n)
     root.apply(ops)
-    o0, cols = outcome_map(root)
+    o0, cols = kernels.outcome_map(root)
     support = [o0]
     for col in cols:
         support += [out ^ col for out in support]

@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -216,7 +217,7 @@ def test_criterion_8_determinism():
                 catch_exceptions=False,
             )
             run_out.append(res.output)
-            run_files.append(open("r.json", "rb").read())
+            run_files.append(Path("r.json").read_bytes())
         ok &= len(set(run_files)) == 1 and len(set(run_out)) == 1
 
         sweep_files, sweep_out = [], []
@@ -228,7 +229,7 @@ def test_criterion_8_determinism():
                 catch_exceptions=False,
             )
             sweep_out.append(res.output)
-            sweep_files.append(open("s.json", "rb").read())
+            sweep_files.append(Path("s.json").read_bytes())
         ok &= len(set(sweep_files)) == 1 and len(set(sweep_out)) == 1
 
         stats_out = {

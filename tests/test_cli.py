@@ -134,6 +134,14 @@ def test_sweep_thread_counts_byte_identical(runner, tmp_path):
     assert files[0] == files[1] == files[2]
 
 
+@pytest.mark.parametrize("threads", ["0", "-2", "8"])
+def test_sweep_any_thread_count_matches_no_flag(runner, threads):
+    plain = invoke(runner, ["sweep", "--case", "c1"])
+    flagged = invoke(runner, ["sweep", "--case", "c1", "--threads", threads])
+    assert flagged.exit_code == plain.exit_code == 0
+    assert flagged.output == plain.output
+
+
 def test_stats_fixture_reference_matches_and_discrepancies(runner):
     result = invoke(runner, ["stats", "t1", "--reference", "t1"])
     assert result.exit_code == 0
@@ -225,3 +233,16 @@ def test_backends_check_small(runner):
     result = invoke(runner, ["backends-check", "--circuits", "10"])
     assert result.exit_code == 0
     assert "backends agree" in result.output
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--max-qubits", "0"),
+    ("--max-gates", "0"),
+    ("--max-qubits", "17"),
+    ("--circuits", "-1"),
+])
+def test_backends_check_out_of_range_exits_2(runner, flag, value):
+    result = runner.invoke(main, ["backends-check", "--circuits", "3", flag, value])
+    assert result.exit_code == 2
+    assert f"Invalid value for '{flag}'" in result.output
+    assert "backends agree" not in result.output

@@ -2,10 +2,13 @@
 
 import json
 import random
+import threading
+from unittest import mock
 
 import pytest
 
 from qgqec import aqecc, experiments, sim
+from qgqec.backend import kernels
 from qgqec.cases import CaseId
 
 
@@ -126,6 +129,20 @@ def test_sweep_thread_count_does_not_change_result():
     quad = experiments.exhaustive_correction_sweep(CaseId.C2, 3, threads=4)
     assert single == quad
     assert single.to_json() == quad.to_json()
+
+
+def test_sweep_runs_every_weight_on_the_calling_thread():
+    threads = []
+    sweep_weight = kernels.sweep_weight
+
+    def recording(m, codewords, weight):
+        threads.append(threading.get_ident())
+        return sweep_weight(m, codewords, weight)
+
+    with mock.patch.object(kernels, "sweep_weight", recording):
+        res = experiments.exhaustive_correction_sweep(CaseId.C2, 10, threads=8)
+    assert threads == [threading.get_ident()] * 10
+    assert res == experiments.exhaustive_correction_sweep(CaseId.C2, 10, threads=1)
 
 
 def test_sweep_validation():

@@ -1,7 +1,8 @@
 """Kernel tests: the affine shot sampler against the per-shot tableau loop,
-the vectorised RNG against the scalar streams, and the linear numpy decode
-sweep against the per-pattern k^2 decode loop it replaced (random linear
-codes, small chunk sizes so chunk boundaries are crossed).
+the one-pass outcome map against its r + 1-pass definition, the vectorised
+RNG against the scalar streams, and the linear numpy decode sweep against
+the per-pattern k^2 decode loop it replaced (random linear codes, small
+chunk sizes so chunk boundaries are crossed).
 """
 
 import tracemalloc
@@ -69,6 +70,52 @@ def test_sample_shots_on_case_circuits(case, errors):
     ops = sim._clifford_ops(circuit)
     n = circuit.num_qubits
     assert pure.sample_shots(n, ops, 200, 42) == per_shot_reference(n, ops, 200, 42)
+
+
+class FixedBits:
+    """Bit source replaying one integer, low bit first; counts bits used."""
+
+    def __init__(self, word):
+        self.word = word
+        self.used = 0
+
+    def next_bit(self):
+        bit = (self.word >> self.used) & 1
+        self.used += 1
+        return bit
+
+
+def multi_pass_reference(engine):
+    """The outcome map's definition: measure one copy with every random bit
+    0, then one copy per random measurement i with only bit i set."""
+    zeros = FixedBits(0)
+    o0 = engine.copy().measure_all(zeros)
+    cols = [engine.copy().measure_all(FixedBits(1 << i)) ^ o0 for i in range(zeros.used)]
+    return o0, cols
+
+
+@PROPERTY
+@given(clifford_ops())
+def test_outcome_map_equals_multi_pass_definition(circuit):
+    n, ops = circuit
+    engine = pure.TableauEngine(n)
+    engine.apply(ops)
+    assert pure.outcome_map(engine) == multi_pass_reference(engine)
+
+
+def test_outcome_map_is_one_copy_and_r_projections():
+    n = 64
+    ops = [(0, q, 0) for q in range(n)] + [(3, q, (q + 5) % n) for q in range(0, n, 3)]
+    engine = pure.TableauEngine(n)
+    engine.apply(ops)
+    expected = multi_pass_reference(engine)
+    assert len(expected[1]) == 64
+    cls = pure.TableauEngine
+    with mock.patch.object(cls, "copy", autospec=True, side_effect=cls.copy) as copy, \
+            mock.patch.object(cls, "project", autospec=True, side_effect=cls.project) as project:
+        assert pure.outcome_map(engine) == expected
+    assert copy.call_count == 1
+    assert project.call_count == 64
 
 
 @PROPERTY

@@ -120,6 +120,22 @@ def test_counts_invariant_and_serialization():
     assert counts.to_csv().splitlines()[1].startswith('"')
 
 
+@st.composite
+def counts_tables(draw):
+    """Counts with 1..40 distinct bitstrings of one width and positive counts."""
+    width = draw(st.integers(1, 24))
+    keys = st.integers(0, (1 << width) - 1).map(lambda v: format(v, f"0{width}b"))
+    table = draw(st.dictionaries(keys, st.integers(1, 1 << 40), min_size=1, max_size=40))
+    return Counts(table)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(counts_tables())
+def test_counts_json_and_csv_round_trip(counts):
+    assert Counts.from_json(counts.to_json()) == counts
+    assert Counts.from_csv(counts.to_csv()) == counts
+
+
 def test_counts_validation():
     with pytest.raises(ValueError):
         Counts({"00": 3}, 4)
