@@ -95,8 +95,9 @@ def sweep(case_name, max_weight, threads, out_path):
     case = CaseId.parse(case_name)
     if max_weight is None:
         max_weight = case.capability
-    if max_weight < 1:
-        raise click.UsageError("--max-weight must be >= 1")
+    if not 1 <= max_weight <= case.m_physical:
+        raise click.UsageError(
+            f"--max-weight must be in 1..{case.m_physical} (M), got {max_weight}")
     result = experiments.exhaustive_correction_sweep(case, max_weight, threads)
     for w, tested, corrected in result.per_weight:
         click.echo(f"weight {w}: {corrected}/{tested} corrected")
@@ -155,7 +156,11 @@ def stats_cmd(input_ref, classifier, reference_id, column, case_name, errors_tex
         if case_name is None:
             raise click.UsageError("--classifier decoded needs --case")
         code = aqecc.build_qc_code(CaseId.parse(case_name))
-        errors = _parse_errors(errors_text)
+        try:
+            errors = experiments.check_error_positions(_parse_errors(errors_text),
+                                                       code.spec.m_physical)
+        except ValueError as exc:
+            raise click.UsageError(str(exc))
         try:
             flags = {
                 outcome: not experiments.classify_outcome(code, outcome, errors)

@@ -81,17 +81,23 @@ def logical_positions(code: aqecc.QCCode) -> list[int]:
     return out
 
 
+def check_error_positions(error_positions, m_physical: int) -> tuple[int, ...]:
+    """The injected positions as a tuple; they must be distinct and in 0..M-1."""
+    positions = tuple(error_positions)
+    if len(set(positions)) != len(positions):
+        raise ValueError("error positions must be distinct")
+    for p in positions:
+        if not 0 <= p < m_physical:
+            raise ValueError(f"error position {p} out of range for M={m_physical}")
+    return positions
+
+
 def build_case_circuit(case, family: str = "aqecc", error_positions=()) -> Circuit:
     """H on each logical qubit, CNOT fan-out along its generator row, then a
     deterministic X at each injected error position."""
     case = case if isinstance(case, CaseId) else CaseId.parse(case)
     _check_family(family)
-    positions = tuple(error_positions)
-    if len(set(positions)) != len(positions):
-        raise ValueError("error positions must be distinct")
-    for p in positions:
-        if not 0 <= p < case.m_physical:
-            raise ValueError(f"error position {p} out of range for M={case.m_physical}")
+    positions = check_error_positions(error_positions, case.m_physical)
 
     code = aqecc.build_qc_code(case)
     pivots = logical_positions(code)
@@ -110,13 +116,14 @@ def classify_outcome(code: aqecc.QCCode, outcome: str, error_positions) -> bool:
     """A measured bitstring is corrected iff decoding recovers exactly the
     injected flips and the same logical bits as the error-free string."""
     m = code.spec.m_physical
+    positions = check_error_positions(error_positions, m)
     error_mask = 0
-    for p in error_positions:
+    for p in positions:
         error_mask |= 1 << (m - 1 - p)
     ideal = format(bits_to_int(outcome) ^ error_mask, f"0{m}b")
     ideal_logical, _, _ = aqecc.decode(code, ideal)
     logical, _, weight = aqecc.decode(code, outcome)
-    return weight == len(tuple(error_positions)) and logical == ideal_logical
+    return weight == len(positions) and logical == ideal_logical
 
 
 def run_case(case, family: str, shots: int, seed: int, error_positions=()) -> CaseReport:
@@ -209,15 +216,17 @@ class SweepResult:
 
 def exhaustive_correction_sweep(case, max_weight: int, threads: int | None = None) -> SweepResult:
     """Classically decode codeword ^ pattern for every codeword and every
-    error pattern of weight 1..max_weight, one ``kernels.sweep_weight`` call
-    per weight on the calling thread.  `threads` is accepted for
-    compatibility and changes nothing: each weight is a millisecond-scale
-    numpy call, which a thread pool only slowed down."""
+    error pattern of weight 1..max_weight (at most M), one
+    ``kernels.sweep_weight`` call per weight on the calling thread.  `threads`
+    is accepted for compatibility and changes nothing: each weight is a
+    millisecond-scale numpy call, which a thread pool only slowed down."""
     case = case if isinstance(case, CaseId) else CaseId.parse(case)
+    m = case.m_physical
     if max_weight < 1:
         raise ValueError("max_weight must be >= 1")
+    if max_weight > m:
+        raise ValueError(f"max_weight {max_weight} exceeds M={m}")
     codewords = aqecc.build_qc_code(case).codewords()
-    m = case.m_physical
     per_weight = tuple(
         (w, *kernels.sweep_weight(m, codewords, w)) for w in range(1, max_weight + 1)
     )

@@ -6,6 +6,11 @@ measurement bits (``kernels.outcome_map``), which gives both the sampled
 counts and the exact distribution: 2^r outcomes o0 ^ span(cols), each with
 probability 2^-r.  The dense statevector engine (<= 16 qubits) is the
 exactness oracle and additionally accepts dense 1- and 2-qubit operators.
+It keeps a flat vector of 2^n amplitudes: X, Z, CNOT and CZ move or negate
+amplitudes through strided views of one copy, with no arithmetic, and H and
+dense operators make the single ``np.dot`` that ``np.tensordot`` would make
+on the same operands, so the amplitudes equal those of a
+``tensordot``-per-gate engine bit for bit (up to the sign of zeros).
 Both sample measurements from the same counter-based per-shot streams
 (vectorised by ``rng.first_words``), so identical (circuit, shots, seed)
 always yields identical Counts.
@@ -28,13 +33,7 @@ PROB_PRUNE = 1e-15
 _OPCODE = {"H": 0, "X": 1, "Z": 2, "CNOT": 3, "CZ": 4}
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_CNOT = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
-_CZ = np.diag([1, 1, 1, -1]).astype(complex)
-_NAMED = {"H": _H, "X": _X, "Z": _Z, "CNOT": _CNOT, "CZ": _CZ}
+_INDEX_GATES = ("X", "Z", "CNOT", "CZ")
 
 
 def _clifford_ops(circuit: Circuit) -> list[tuple[int, int, int]]:
@@ -87,35 +86,77 @@ def tableau_distribution(circuit: Circuit) -> dict[str, float]:
 # -- dense statevector ------------------------------------------------------
 
 
-def _apply_dense(state: np.ndarray, matrix: np.ndarray, qubits: tuple[int, ...]):
+def _apply_index_gate(state: np.ndarray, name: str, qubits: tuple[int, ...]) -> np.ndarray:
+    """X, Z, CNOT or CZ on the flat state: amplitudes moved or negated in one
+    copy, with no arithmetic.  Qubit q is axis q of the (2,) * n view, so it
+    is the middle axis of the (2^q, 2, rest) view."""
+    if name == "X":
+        # copy(): at n = 1 the reshape alone returns a reversed view, and
+        # np.abs rounds differently on strided input
+        return state.reshape(1 << qubits[0], 2, -1)[:, ::-1].copy().reshape(-1)
+    out = state.copy()
+    if name == "Z":
+        view = out.reshape(1 << qubits[0], 2, -1)[:, 1]
+        np.negative(view, out=view)
+        return out
+    a, b = qubits
+    i, j = min(a, b), max(a, b)
+    shape = (1 << i, 2, 1 << (j - i - 1), 2, -1)
+    view = out.reshape(shape)
+    if name == "CZ":
+        np.negative(view[:, 1, :, 1], out=view[:, 1, :, 1])
+    elif a < b:  # CNOT, control on the outer axis
+        view[:, 1] = state.reshape(shape)[:, 1, :, ::-1]
+    else:
+        view[:, :, :, 1] = state.reshape(shape)[:, ::-1, :, 1]
+    return out
+
+
+def _apply_matrix(state: np.ndarray, n: int, matrix: np.ndarray, qubits: tuple[int, ...],
+                  normalise: bool) -> np.ndarray:
+    """The dot that ``np.tensordot`` makes: the gate's axes moved to the front
+    of the (2,) * n view, the rest kept in order, and one ``np.dot`` of the
+    (2^k, 2^k) operator with the (2^k, rest) operand; then the axes moved
+    back.  Same call on the same operands, so the same bits."""
     k = len(qubits)
-    tensor = matrix.reshape((2,) * (2 * k))
-    moved = np.tensordot(tensor, state, axes=(list(range(k, 2 * k)), list(qubits)))
-    return np.moveaxis(moved, list(range(k)), list(qubits))
+    order = list(qubits) + [q for q in range(n) if q not in qubits]
+    operand = state.reshape((2,) * n).transpose(order).reshape(1 << k, -1)
+    product = np.dot(matrix, operand)
+    if normalise:
+        # norm sums in memory order, which for the product is the order the
+        # tensordot engine's moved-axes state had, so the sum rounds alike
+        norm = float(np.linalg.norm(product))
+        if norm == 0.0:
+            raise ValueError("state annihilated by a dense operator")
+        product = product / norm
+    return product.reshape((2,) * n).transpose(np.argsort(order)).reshape(-1)
 
 
 def _final_state(circuit: Circuit) -> np.ndarray:
+    """Flat amplitude vector; qubit 0 is the most significant index bit."""
     n = circuit.num_qubits
     if n > STATEVECTOR_QUBIT_CAP:
         raise ValueError(
             f"{n} qubits exceeds the statevector cap of {STATEVECTOR_QUBIT_CAP}"
         )
-    state = np.zeros((2,) * n, dtype=complex)
-    state[(0,) * n] = 1.0
+    state = np.zeros(1 << n, dtype=complex)
+    state[0] = 1.0
     for g in circuit.gates:
-        matrix = g.matrix if g.name == "U" else _NAMED[g.name]
-        state = _apply_dense(state, np.asarray(matrix, dtype=complex), g.qubits)
-        if g.name == "U":
-            norm = float(np.linalg.norm(state))
-            if norm == 0.0:
-                raise ValueError("state annihilated by a dense operator")
-            state = state / norm
+        if g.name == "H":
+            state = _apply_matrix(state, n, _H, g.qubits, normalise=False)
+        elif g.name == "U":
+            matrix = np.ascontiguousarray(g.matrix, dtype=complex)
+            state = _apply_matrix(state, n, matrix, g.qubits, normalise=True)
+        elif g.name in _INDEX_GATES:
+            state = _apply_index_gate(state, g.name, g.qubits)
+        else:
+            raise ValueError(f"unknown gate {g.name!r} in circuit")
     return state
 
 
 def exact_distribution(circuit: Circuit) -> dict[str, float]:
     """|amplitude|^2 per basis state, pruned below 1e-15."""
-    flat = _final_state(circuit).reshape(-1)
+    flat = _final_state(circuit)
     n = circuit.num_qubits
     probs = np.abs(flat) ** 2
     return {
@@ -133,7 +174,7 @@ def statevector_run(circuit: Circuit, shots: int, seed: int) -> Counts:
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    flat = _final_state(circuit).reshape(-1)
+    flat = _final_state(circuit)
     n = circuit.num_qubits
     cumulative = np.cumsum(np.abs(flat) ** 2)
     cumulative /= cumulative[-1]

@@ -118,6 +118,13 @@ def test_sweep_outputs_and_exit_codes(runner, tmp_path):
     assert runner.invoke(main, ["sweep", "--case", "c1", "--max-weight", "0"]).exit_code == 2
 
 
+def test_sweep_max_weight_above_m_exits_2(runner):
+    result = runner.invoke(main, ["sweep", "--case", "c1", "--max-weight", "9"])
+    assert result.exit_code == 2
+    assert "--max-weight must be in 1..8 (M), got 9" in result.output
+    assert "weight 9" not in result.output
+
+
 def test_sweep_thread_counts_byte_identical(runner, tmp_path):
     outputs = []
     files = []
@@ -181,6 +188,20 @@ def test_stats_decoded_classifier(runner, tmp_path):
     )
     assert result.exit_code == 0
     assert "error_rate_percent: 0.0" in result.output
+
+
+@pytest.mark.parametrize("errors, message", [
+    ("0,0", "error positions must be distinct"),
+    ("8", "error position 8 out of range for M=8"),
+    ("-1", "error position -1 out of range for M=8"),
+])
+def test_stats_decoded_classifier_rejects_bad_errors_like_run(runner, errors, message):
+    stats = runner.invoke(main, ["stats", "t1", "--classifier", "decoded", "--case", "c1",
+                                 f"--errors={errors}"])
+    run = runner.invoke(main, ["run", "--case", "c1", f"--errors={errors}"])
+    assert stats.exit_code == run.exit_code == 2
+    assert f"Error: {message}\n" in stats.output
+    assert f"Error: {message}\n" in run.output
 
 
 def test_stats_two_column_table_needs_column(runner):

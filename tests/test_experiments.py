@@ -148,6 +148,10 @@ def test_sweep_runs_every_weight_on_the_calling_thread():
 def test_sweep_validation():
     with pytest.raises(ValueError):
         experiments.exhaustive_correction_sweep(CaseId.C1, 0)
+    with pytest.raises(ValueError, match="exceeds M=8"):
+        experiments.exhaustive_correction_sweep(CaseId.C1, 9)
+    full = experiments.exhaustive_correction_sweep(CaseId.C1, 8)
+    assert [w for w, _, _ in full.per_weight] == list(range(1, 9))
 
 
 def test_classify_outcome_rules():
@@ -158,6 +162,18 @@ def test_classify_outcome_rules():
     assert experiments.classify_outcome(code, flipped, (0,))
     # wrong claimed position: decode weight 1 != 0 injected
     assert not experiments.classify_outcome(code, flipped, ())
+
+
+def test_classify_outcome_rejects_bad_positions():
+    code = aqecc.build_qc_code(CaseId.C1)
+    cw = aqecc.encode_logical(code, "101")
+    for positions, message in (((0, 0), "must be distinct"),
+                               ((8,), "position 8 out of range for M=8"),
+                               ((-1,), "position -1 out of range for M=8")):
+        with pytest.raises(ValueError, match=message):
+            experiments.classify_outcome(code, cw, positions)
+        with pytest.raises(ValueError, match=message):
+            experiments.build_case_circuit(CaseId.C1, "aqecc", positions)
 
 
 def test_barchart_csv_sorted():

@@ -4,9 +4,11 @@ The ``run`` and ``backends-check`` digests in ``golden/cli_digests.json``
 were recorded from the per-shot tableau sampler and the branching
 distribution enumerator that the affine sampler replaced; the ``sweep``,
 ``export-code`` and ``stats`` digests from the k^2-popcount Python decode
-sweep that the linear numpy sweep replaced.  Any change to sampled counts,
-sweep counts, report layout or cross-check output shows up here.  Re-record only for an intended output
-change:
+sweep that the linear numpy sweep replaced; the 400- and 30-circuit
+``backends-check`` digests from the ``tensordot``-per-gate dense engine that
+the index-update engine replaced.  Any change to sampled counts, sweep
+counts, report layout or cross-check output shows up here.  Re-record only
+for an intended output change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -31,6 +33,15 @@ ERRORS = {
     "c4": ("", "0,3,11,17,28", "0,3,11,17,28,9"),
 }
 SEEDS = (1, 42, 31337)
+
+# the dense oracle against the tableau engine: the crosscheck workload's
+# shapes (400 circuits, <= 12 qubits, <= 80 gates) at three seeds, and one
+# run that reaches 13..16-qubit states
+CROSSCHECKS = [["backends-check", "--circuits", "50", "--max-qubits", "12", "--max-gates", "80"]]
+CROSSCHECKS += [["backends-check", "--circuits", "400", "--max-qubits", "12", "--max-gates", "80",
+                 "--seed", seed] for seed in ("1", "7", "20240")]
+CROSSCHECKS += [["backends-check", "--circuits", "30", "--max-qubits", "16", "--max-gates", "120",
+                 "--seed", "5"]]
 
 # default weight P, beyond-P weights, and fixed thread counts (output must
 # not depend on --threads)
@@ -59,9 +70,7 @@ def commands() -> dict[str, list[str]]:
                     if errors:
                         argv += ["--errors", errors]
                     out[" ".join(argv)] = argv
-    argv = ["backends-check", "--circuits", "50", "--max-qubits", "12", "--max-gates", "80"]
-    out[" ".join(argv)] = argv
-    for argv in SWEEPS + EXPORTS + STATS:
+    for argv in CROSSCHECKS + SWEEPS + EXPORTS + STATS:
         out[" ".join(argv)] = argv
     return out
 

@@ -1,6 +1,7 @@
 """Simulator tests: sampling, exact distributions, cross-validation, formats."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -233,6 +234,107 @@ def test_exact_distribution_equals_full_amplitude_scan(n, gates, circuit_seed, e
     scan = {format(i, f"0{n}b"): float(p) for i, p in enumerate(probs) if p > sim.PROB_PRUNE}
     dist = sim.exact_distribution(circuit)
     assert list(dist.items()) == list(scan.items())
+
+
+_REFERENCE_MATRICES = {
+    "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+    "CNOT": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
+    "CZ": np.diag([1, 1, 1, -1]).astype(complex),
+}
+
+
+def tensordot_reference(circuit):
+    """The dense engine's definition: one ``tensordot`` + ``moveaxis`` per gate
+    on the (2,) * n tensor, and dense operators renormalised."""
+    n = circuit.num_qubits
+    state = np.zeros((2,) * n, dtype=complex)
+    state[(0,) * n] = 1.0
+    for g in circuit.gates:
+        matrix = g.matrix if g.name == "U" else _REFERENCE_MATRICES[g.name]
+        k = len(g.qubits)
+        tensor = np.asarray(matrix, dtype=complex).reshape((2,) * (2 * k))
+        moved = np.tensordot(tensor, state, axes=(list(range(k, 2 * k)), list(g.qubits)))
+        state = np.moveaxis(moved, list(range(k)), list(g.qubits))
+        if g.name == "U":
+            state = state / float(np.linalg.norm(state))
+    return state.reshape(-1)
+
+
+@st.composite
+def dense_circuits(draw, dense_operators):
+    """Gates over H/X/Z/CNOT/CZ with qubit 0 and qubit n - 1 drawn often, and
+    optionally dense 1- and 2-qubit operators with random complex entries."""
+    n = draw(st.integers(1, 9))
+    qubit = st.sampled_from([0, n - 1]) | st.integers(0, n - 1)
+    names = ["H", "X", "Z"] + (["CNOT", "CZ"] if n >= 2 else [])
+    if dense_operators:
+        names += ["U1"] + (["U2"] if n >= 2 else [])
+    circuit = Circuit(n)
+    for name in draw(st.lists(st.sampled_from(names), max_size=60)):
+        a = draw(qubit)
+        if name == "U1":
+            circuit.unitary(_random_operator(2, draw(st.integers(0, 1 << 32))), (a,))
+            continue
+        if name in ("H", "X", "Z"):
+            getattr(circuit, name.lower())(a)
+            continue
+        b = draw(qubit.filter(lambda q: q != a))
+        if name == "U2":
+            circuit.unitary(_random_operator(4, draw(st.integers(0, 1 << 32))), (a, b))
+        else:
+            getattr(circuit, name.lower())(a, b)
+    return circuit
+
+
+def _random_operator(dim, seed):
+    parts = np.random.default_rng(seed).standard_normal((2, dim, dim))
+    return parts[0] + 1j * parts[1]
+
+
+def _assert_matches_reference(circuit):
+    state = sim._final_state(circuit)
+    reference = tensordot_reference(circuit)
+    assert state.shape == (1 << circuit.num_qubits,)
+    assert state.flags.c_contiguous
+    assert np.array_equal(state, reference)  # == allows only signed zeros to differ
+    assert np.array_equal(np.abs(state) ** 2, np.abs(reference) ** 2)
+
+
+@PROPERTY
+@given(dense_circuits(dense_operators=False))
+def test_final_state_equals_tensordot_engine_on_clifford_circuits(circuit):
+    _assert_matches_reference(circuit)
+
+
+@PROPERTY
+@given(dense_circuits(dense_operators=True))
+def test_final_state_equals_tensordot_engine_with_dense_operators(circuit):
+    _assert_matches_reference(circuit)
+
+
+def test_final_state_both_cnot_and_cz_orientations_at_the_register_ends():
+    for a, b in ((0, 4), (4, 0), (1, 3), (3, 1)):
+        circuit = Circuit(5).h(0).h(4).h(1).x(3)
+        circuit.cnot(a, b).cz(a, b).z(a).h(b)
+        _assert_matches_reference(circuit)
+    _assert_matches_reference(Circuit(1).x(0).h(0).z(0).x(0))
+
+
+def test_final_state_memory_stays_a_few_states():
+    """One 12-qubit, 80-gate evolution holds a few 64 KB states at a time and
+    keeps nothing but its result (no per-gate permutation or sign cache)."""
+    circuit = sim.random_clifford_circuit(12, 80, seed=8128)
+    tracemalloc.start()
+    try:
+        state = sim._final_state(circuit)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert state.nbytes == 64 * 1024
+    assert peak <= 6 * state.nbytes
+    assert retained <= 2 * state.nbytes
 
 
 def test_circuit_text_round_trip():
