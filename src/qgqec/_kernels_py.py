@@ -10,8 +10,11 @@ Shot sampling is affine over GF(2) (reference sample plus frames, as in
 Gidney's Stim): whether measurement q is random does not depend on earlier
 outcomes, and every outcome bit is an XOR of the random bits consumed before
 it.  ``outcome_map`` finds that map in one measurement pass with every
-random bit 0, tracking one Pauli frame per random measurement, and
-``sample_shots`` applies it to every shot at once with numpy.
+random bit 0, tracking one Pauli frame per random measurement.  A shot's
+outcome is then a function of its random-bit index alone, so
+``sample_shots`` histograms the indices of ``SHOT_CHUNK`` shots at a time
+with numpy and maps only the distinct indices to outcomes
+(``outcomes_of``): memory stays within a few chunks at any shot count.
 
 The decode sweep relies on the code being linear: the distances from a
 received word to all k codewords are the k distances of the error pattern to
@@ -33,6 +36,9 @@ from qgqec.rng import ShotStream, first_words
 BACKEND_NAME = "pure"
 MAX_TABLEAU_QUBITS = 64
 
+# shots per sampling chunk: bounds the sampler's per-chunk arrays (about
+# 0.5 MB each) at any shot count
+SHOT_CHUNK = 65536
 # error patterns per sweep chunk: bounds the sweep's arrays (about 200 KB)
 # at any weight; larger chunks gain little speed
 SWEEP_CHUNK = 4096
@@ -223,24 +229,59 @@ def outcome_map(engine) -> tuple[int, list[int]]:
     return o0, cols
 
 
-def sample_shots(num_qubits: int, ops, shots: int, seed: int) -> list[int]:
-    """Simulate once, then measure `shots` independent copies.
-
-    Shot s consumes the low r bits of the first word of ``ShotStream(seed,
-    s)`` (r <= n <= 64), so its outcome is o0 XOR one byte-table lookup per
-    8 columns of the outcome map, indexed by the bytes of that word.
-    """
-    base = TableauEngine(num_qubits)
-    base.apply(ops)
-    o0, cols = outcome_map(base)
-    words = first_words(seed, shots)
-    out = np.full(len(words), o0, dtype=np.uint64)
+def outcomes_of(o0: int, cols: list[int], indices: np.ndarray) -> np.ndarray:
+    """The outcome of each random-bit index (uint64): o0 XOR the cols[i] of
+    every bit i set in the index, one 256-entry XOR table lookup per 8
+    columns.  Independent columns make the map one-to-one."""
+    out = np.full(len(indices), o0, dtype=np.uint64)
     for lo in range(0, len(cols), 8):
         table = np.zeros(1, dtype=np.uint64)
         for col in cols[lo:lo + 8]:
             table = np.concatenate([table, table ^ np.uint64(col)])
-        out ^= table[(words >> np.uint64(lo)) & np.uint64(len(table) - 1)]
-    return out.tolist()
+        out ^= table[(indices >> np.uint64(lo)) & np.uint64(len(table) - 1)]
+    return out
+
+
+def _merge_counts(a, b):
+    """Two (ascending keys, counts) histograms as one."""
+    keys = np.concatenate([a[0], b[0]])
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+    return keys[starts], np.add.reduceat(np.concatenate([a[1], b[1]])[order], starts)
+
+
+def sample_shots(num_qubits: int, ops, shots: int, seed: int) -> dict[int, int]:
+    """Simulate once, then measure `shots` independent copies; returns
+    {outcome: count} with keys in ascending random-bit index order.
+
+    Shot s consumes the low r bits of the first word of ``ShotStream(seed,
+    s)`` (r <= n <= 64), its random-bit index, and its outcome is a function
+    of that index alone.  So shots are taken ``SHOT_CHUNK`` at a time, each
+    chunk's indices histogrammed with ``np.unique``, the histograms merged,
+    and only the distinct indices mapped to outcomes (``outcomes_of``):
+    memory stays within a few chunks at any shot count, beyond the
+    histogram itself.  Merges keep each pending run more than twice the size
+    of the next, so even r = 64 (every index distinct) merges in
+    O(shots log shots).
+    """
+    base = TableauEngine(num_qubits)
+    base.apply(ops)
+    o0, cols = outcome_map(base)
+    mask = np.uint64((1 << len(cols)) - 1)
+    runs = []
+    for start in range(0, shots, SHOT_CHUNK):
+        words = first_words(seed, min(SHOT_CHUNK, shots - start), start)
+        words &= mask
+        runs.append(np.unique(words, return_counts=True))
+        while len(runs) > 1 and len(runs[-2][0]) <= 2 * len(runs[-1][0]):
+            runs.append(_merge_counts(runs.pop(), runs.pop()))
+    if not runs:
+        return {}
+    while len(runs) > 1:
+        runs.append(_merge_counts(runs.pop(), runs.pop()))
+    indices, counts = runs[0]
+    return dict(zip(outcomes_of(o0, cols, indices).tolist(), counts.tolist()))
 
 
 def _check_linear(m: int, cws: list[int]) -> None:

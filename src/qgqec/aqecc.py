@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from qgqec import gf2, pauli
 from qgqec._bits import bits_to_int, int_to_bits, popcount, rotl
@@ -73,9 +73,14 @@ class QCCode:
             if any(gf2.dot(hv, r) for r in rows):
                 raise ValueError("check not orthogonal to generator rows")
 
-    def codewords(self) -> list[int]:
-        """All 2^N codewords as integers, indexed by logical bits."""
-        m, n = self.spec.m_physical, self.spec.n_logical
+    def codewords(self) -> tuple[int, ...]:
+        """All 2^N codewords as integers, indexed by logical bits.  Computed
+        once per code; every caller shares the one immutable tuple."""
+        return self._codewords
+
+    @cached_property
+    def _codewords(self) -> tuple[int, ...]:
+        n = self.spec.n_logical
         rows = [bits_to_int(r) for r in self.generator_rows]
         out = []
         for l in range(1 << n):
@@ -84,7 +89,7 @@ class QCCode:
                 if l >> (n - 1 - j) & 1:
                     v ^= rows[j]
             out.append(v)
-        return out
+        return tuple(out)
 
     def to_json(self) -> str:
         s = self.spec

@@ -144,6 +144,9 @@ class Counts:
     total_shots: int = field(default=0)
 
     def __post_init__(self):
+        for outcome, count in self.counts.items():
+            if count < 0:
+                raise ValueError(f"negative count {count} for outcome {outcome!r}")
         total = sum(self.counts.values())
         if self.total_shots == 0:
             object.__setattr__(self, "total_shots", total)
@@ -184,7 +187,8 @@ class Counts:
 
 
 def parse_count_rows(text: str) -> list[tuple[str, int]]:
-    """Read outcome,count CSV preserving duplicate rows verbatim."""
+    """Read outcome,count CSV preserving duplicate rows verbatim; counts must
+    be non-negative."""
     reader = csv.reader(io.StringIO(text))
     rows: list[tuple[str, int]] = []
     for rec in reader:
@@ -192,7 +196,10 @@ def parse_count_rows(text: str) -> list[tuple[str, int]]:
             continue
         if len(rec) != 2:
             raise ValueError(f"malformed counts row: {rec!r}")
-        rows.append((rec[0].strip(), int(rec[1])))
+        count = int(rec[1])
+        if count < 0:
+            raise ValueError(f"negative count in row {rec!r}")
+        rows.append((rec[0].strip(), count))
     if not rows:
         raise ValueError("no counts rows found")
     return rows

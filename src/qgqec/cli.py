@@ -4,7 +4,8 @@ the simulator cross-validation suite.
 Exit codes: 0 success (including scientific findings such as capability
 exceeded), 2 configuration/input errors, 1 internal failures.  Identical
 flags always produce byte-identical output; QGQEC_SEED overrides the default
-seed, an explicit --seed wins over both.
+seed, an explicit --seed wins over both.  Shot sampling takes the seed mod
+2^64; it is not rejected outside 0..2^64-1.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ _seed_option = click.option(
     default=42,
     envvar="QGQEC_SEED",
     show_default=True,
-    help="Measurement seed (QGQEC_SEED overrides the default).",
+    help="Seed (QGQEC_SEED overrides the default). Shot sampling takes it mod 2^64, "
+         "so s and s + 2^64 sample the same shots; reports echo it as given.",
 )
 
 

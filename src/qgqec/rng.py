@@ -2,9 +2,11 @@
 
 Every shot draws from its own SplitMix64 stream keyed by (seed, shot_index),
 so results are reproducible bit-for-bit and independent of shot evaluation
-order.  ``first_words`` is the same arithmetic on numpy arrays, for
-samplers that need no more than one word per shot; ``tests/test_kernels.py``
-pins it against the scalar ``ShotStream``.
+order.  Seeds and shot indices are taken mod 2^64: seeds s and s + 2^64
+give the same streams.  ``first_words`` is the same arithmetic on numpy
+arrays, over any range of shot indices, for samplers that need no more than
+one word per shot and take their shots in bounded chunks;
+``tests/test_kernels.py`` pins it against the scalar ``ShotStream``.
 """
 
 import numpy as np
@@ -27,21 +29,29 @@ def shot_state(seed: int, shot_index: int) -> int:
 
 
 def _mix64_array(v: np.ndarray) -> np.ndarray:
-    v = (v ^ (v >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    v = (v ^ (v >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return v ^ (v >> np.uint64(31))
+    """``mix64`` of every element of a uint64 array, in place."""
+    v ^= v >> np.uint64(30)
+    v *= np.uint64(0xBF58476D1CE4E5B9)
+    v ^= v >> np.uint64(27)
+    v *= np.uint64(0x94D049BB133111EB)
+    v ^= v >> np.uint64(31)
+    return v
 
 
-def first_words(seed: int, shots: int) -> np.ndarray:
-    """``ShotStream(seed, s).next_word()`` for s in 0..shots-1, as uint64.
+def first_words(seed: int, shots: int, start: int = 0) -> np.ndarray:
+    """``ShotStream(seed, s).next_word()`` for s in start..start+shots-1, as
+    uint64, so consecutive ranges concatenate to one longer range.
 
     Every step stays on arrays: uint64 array arithmetic wraps modulo 2^64
-    silently, exactly like the masked Python ints above.
+    silently, exactly like the masked Python ints above (shot indices
+    included).
     """
-    gamma = np.uint64(_GAMMA)
-    index = np.arange(shots, dtype=np.uint64) + gamma
-    state = _mix64_array(index ^ np.uint64(mix64(seed & MASK64)))
-    return _mix64_array(state + gamma)
+    words = np.arange(shots, dtype=np.uint64)
+    words += np.uint64((start + _GAMMA) & MASK64)
+    words ^= np.uint64(mix64(seed & MASK64))
+    _mix64_array(words)
+    words += np.uint64(_GAMMA)
+    return _mix64_array(words)
 
 
 class ShotStream:

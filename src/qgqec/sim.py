@@ -13,13 +13,17 @@ on the same operands, so the amplitudes equal those of a
 ``tensordot``-per-gate engine bit for bit (up to the sign of zeros).
 Both sample measurements from the same counter-based per-shot streams
 (vectorised by ``rng.first_words``), so identical (circuit, shots, seed)
-always yields identical Counts.
+always yields identical Counts.  Both take shots ``kernels.SHOT_CHUNK`` at a
+time and keep only a histogram across chunks, so memory stays bounded at any
+shot count.  ``tableau_run`` renders one bitstring per distinct outcome,
+inserted in ascending random-bit index order; every serialiser sorts its
+keys, so the order never reaches the output.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter, defaultdict
+from collections import defaultdict
 
 import numpy as np
 
@@ -58,7 +62,7 @@ def tableau_run(circuit: Circuit, shots: int, seed: int) -> Counts:
         raise ValueError("shots must be >= 1")
     ops = _clifford_ops(circuit)
     n = circuit.num_qubits
-    outcomes = Counter(kernels.sample_shots(n, ops, shots, seed))
+    outcomes = kernels.sample_shots(n, ops, shots, seed)
     return Counts({_render(out, n): count for out, count in outcomes.items()}, shots)
 
 
@@ -170,7 +174,9 @@ def statevector_run(circuit: Circuit, shots: int, seed: int) -> Counts:
 
     Shot s draws u = (first word >> 11) * 2^-53, the first ``next_float`` of
     its stream, and lands on the first basis state whose cumulative
-    probability exceeds u.
+    probability exceeds u.  Shots are taken ``kernels.SHOT_CHUNK`` at a time
+    and counted into one array of 2^n counts, so memory is bounded at any
+    shot count; keys come out in ascending basis-state order.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -178,11 +184,15 @@ def statevector_run(circuit: Circuit, shots: int, seed: int) -> Counts:
     n = circuit.num_qubits
     cumulative = np.cumsum(np.abs(flat) ** 2)
     cumulative /= cumulative[-1]
-    u = (first_words(seed, shots) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-    idx = np.minimum(np.searchsorted(cumulative, u, side="right"), len(cumulative) - 1)
-    states, counts = np.unique(idx, return_counts=True)
+    totals = np.zeros(len(cumulative), dtype=np.int64)
+    for start in range(0, shots, kernels.SHOT_CHUNK):
+        words = first_words(seed, min(kernels.SHOT_CHUNK, shots - start), start)
+        u = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        idx = np.minimum(np.searchsorted(cumulative, u, side="right"), len(cumulative) - 1)
+        totals += np.bincount(idx, minlength=len(cumulative))
+    states = np.flatnonzero(totals)
     return Counts(
-        {format(int(i), f"0{n}b"): int(c) for i, c in zip(states, counts)}, shots
+        {format(i, f"0{n}b"): c for i, c in zip(states.tolist(), totals[states].tolist())}, shots
     )
 
 

@@ -100,6 +100,21 @@ def test_seed_env_override(runner, tmp_path):
     assert out_both.read_bytes() == out_default.read_bytes()
 
 
+def test_seeds_are_reduced_mod_2_64(runner):
+    """Seeds s and s + 2^64 sample the same shots; the report echoes the seed
+    as given."""
+    def report(seed):
+        result = invoke(runner, ["run", "--case", "c3", "--shots", "200", "--errors", "4",
+                                 "--seed", str(seed)])
+        return json.loads(result.output)
+
+    low, high = report(1), report(1 + (1 << 64))
+    assert (low["seed"], high["seed"]) == (1, 1 + (1 << 64))
+    del low["seed"], high["seed"]
+    assert low == high
+    assert report(-1)["counts"] == report((1 << 64) - 1)["counts"]
+
+
 def test_sweep_outputs_and_exit_codes(runner, tmp_path):
     out = tmp_path / "sweep.json"
     result = invoke(runner, ["sweep", "--case", "c1", "--max-weight", "1", "--out", str(out)])
@@ -226,6 +241,22 @@ def test_stats_malformed_inputs_exit_2(runner, tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("outcome,count\nfoo\n")
     assert runner.invoke(main, ["stats", str(bad)]).exit_code == 2
+
+
+@pytest.mark.parametrize("text", [
+    'outcome,count\n"01",-3\n',
+    'outcome,count\n"00",-1\n"01",-3\n',
+    'outcome,count\n"00",5\n"01",-3\n"10",2\n',
+    '{"total_shots": 2, "counts": {"00": 5, "01": -3}}',
+])
+def test_stats_negative_counts_exit_2(runner, tmp_path, text):
+    path = tmp_path / "negative.csv"
+    path.write_text(text)
+    result = runner.invoke(main, ["stats", str(path)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "negative count" in result.output
+    assert "Traceback" not in result.output
 
 
 def test_stats_unknown_reference_exits_2(runner):

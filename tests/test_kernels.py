@@ -1,15 +1,18 @@
-"""Kernel tests: the affine shot sampler against the per-shot tableau loop,
-the one-pass outcome map against its r + 1-pass definition, the vectorised
+"""Kernel tests: the affine shot sampler against the per-shot tableau loop
+(each shot's outcome, and the chunked histogram at every chunk size), the
+one-pass outcome map against its r + 1-pass definition, the vectorised
 RNG against the scalar streams, and the linear numpy decode sweep against
 the per-pattern k^2 decode loop it replaced (random linear codes, small
 chunk sizes so chunk boundaries are crossed).
 """
 
 import tracemalloc
+from collections import Counter
 from itertools import combinations
 from math import comb
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
@@ -47,11 +50,51 @@ def per_shot_reference(n, ops, shots, seed):
     return [base.copy().measure_all(ShotStream(seed, s)) for s in range(shots)]
 
 
+def assert_sampler_matches_reference(n, ops, shots, seed):
+    """Shot by shot, the outcome of each shot's random-bit index (the low r
+    bits of its first word) is the per-shot loop's outcome; and the
+    sampler's histogram is the loop's histogram."""
+    reference = per_shot_reference(n, ops, shots, seed)
+    base = pure.TableauEngine(n)
+    base.apply(ops)
+    o0, cols = pure.outcome_map(base)
+    indices = first_words(seed, shots) & np.uint64((1 << len(cols)) - 1)
+    assert pure.outcomes_of(o0, cols, indices).tolist() == reference
+    assert pure.sample_shots(n, ops, shots, seed) == Counter(reference)
+
+
 @PROPERTY_UNSHRUNK
 @given(clifford_ops(), st.integers(1, 24), st.integers(-(1 << 64), 1 << 64))
 def test_sample_shots_equals_per_shot_loop(circuit, shots, seed):
     n, ops = circuit
-    assert pure.sample_shots(n, ops, shots, seed) == per_shot_reference(n, ops, shots, seed)
+    assert_sampler_matches_reference(n, ops, shots, seed)
+
+
+@PROPERTY
+@given(clifford_ops(max_gates=60), st.integers(1, 40), st.integers(-(1 << 64), 1 << 64))
+def test_sample_shots_any_chunk_size_gives_one_histogram(circuit, shots, seed):
+    n, ops = circuit
+    whole = pure.sample_shots(n, ops, shots, seed)
+    assert pure.SHOT_CHUNK >= shots  # one chunk
+    for chunk in range(1, shots + 1):
+        with mock.patch.object(pure, "SHOT_CHUNK", chunk):
+            # same counts, inserted in the same ascending index order
+            assert list(pure.sample_shots(n, ops, shots, seed).items()) == list(whole.items())
+
+
+def test_tableau_run_memory_stays_within_a_few_chunks():
+    circuit = experiments.build_case_circuit(CaseId.C4, "aqecc", (0, 3, 11))
+    sim.tableau_run(circuit, 1000, 1)  # warm caches and imports
+    chunk_bytes = pure.SHOT_CHUNK * 8
+    tracemalloc.start()
+    try:
+        counts = sim.tableau_run(circuit, 1_000_000, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert counts.total_shots == 1_000_000
+    # one Python int per shot, as a list, would take about 46 MB
+    assert peak < 6 * chunk_bytes
 
 
 def test_sample_shots_with_64_random_measurements():
@@ -62,7 +105,12 @@ def test_sample_shots_with_64_random_measurements():
     base.apply(ops)
     _, cols = pure.outcome_map(base)
     assert len(cols) == 64
-    assert pure.sample_shots(n, ops, 40, 11) == per_shot_reference(n, ops, 40, 11)
+    assert_sampler_matches_reference(n, ops, 40, 11)
+    # every index distinct: each chunk size merges 40 one-shot runs
+    whole = list(pure.sample_shots(n, ops, 40, 11).items())
+    for chunk in (1, 3, 7):
+        with mock.patch.object(pure, "SHOT_CHUNK", chunk):
+            assert list(pure.sample_shots(n, ops, 40, 11).items()) == whole
 
 
 @pytest.mark.parametrize("case", list(CaseId))
@@ -72,8 +120,7 @@ def test_sample_shots_on_case_circuits(case, errors):
     positions = tuple(range(0, 2 * count, 2))
     circuit = experiments.build_case_circuit(case, "aqecc", positions)
     ops = sim._clifford_ops(circuit)
-    n = circuit.num_qubits
-    assert pure.sample_shots(n, ops, 200, 42) == per_shot_reference(n, ops, 200, 42)
+    assert_sampler_matches_reference(circuit.num_qubits, ops, 200, 42)
 
 
 class FixedBits:
@@ -144,6 +191,25 @@ def test_first_words_equal_scalar_streams(seed, shots):
     words = first_words(seed, shots)
     assert words.dtype.name == "uint64"
     assert words.tolist() == [ShotStream(seed, s).next_word() for s in range(shots)]
+
+
+@PROPERTY
+@given(st.integers(-(1 << 65), 1 << 65), st.integers(0, 300), st.integers(0, 300))
+def test_first_words_range_equals_slice_of_full_array(seed, a, b):
+    start, stop = sorted((a, b))
+    assert first_words(seed, stop - start, start).tolist() == first_words(seed, stop)[start:].tolist()
+
+
+@PROPERTY
+@given(st.integers(-(1 << 65), 1 << 65), st.integers(0, 300), st.integers(0, 300))
+def test_first_words_range_wraps_at_2_64(seed, before, after):
+    """Shot indices are taken mod 2^64: a range across 2^64 continues with
+    the full array's first words."""
+    start = (1 << 64) - before
+    words = first_words(seed, before + after, start).tolist()
+    assert words[:before] == [ShotStream(seed, start + i).next_word() for i in range(before)]
+    assert words[before:] == first_words(seed, after).tolist()
+    assert first_words(seed, before, start - (1 << 64)).tolist() == words[:before]
 
 
 def test_engine_copy_is_independent():

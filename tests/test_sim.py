@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from qgqec import groups, sim
 from qgqec._kernels_py import TableauEngine, outcome_map
+from qgqec.backend import kernels
 from qgqec.circuits import Circuit, Counts, parse_circuit
 from qgqec.rng import ShotStream
 
@@ -222,6 +224,19 @@ def test_statevector_run_equals_per_shot_loop(n, gates, circuit_seed, epsilon, s
     counts = sim.statevector_run(circuit, shots, seed)
     assert counts.counts == statevector_reference(circuit, shots, seed)
     assert counts.total_shots == shots
+
+
+@PROPERTY
+@given(st.integers(1, 6), st.integers(0, 30), st.integers(0, 1 << 62), st.integers(1, 60),
+       st.integers(-(1 << 64), 1 << 64))
+def test_statevector_run_any_chunk_size_gives_one_histogram(n, gates, circuit_seed, shots, seed):
+    circuit = sim.random_clifford_circuit(n, gates, circuit_seed)
+    whole = sim.statevector_run(circuit, shots, seed)
+    assert kernels.SHOT_CHUNK >= shots  # one chunk
+    for chunk in (1, 2, 7, shots):
+        with mock.patch.object(kernels, "SHOT_CHUNK", chunk):
+            assert list(sim.statevector_run(circuit, shots, seed).counts.items()) == \
+                list(whole.counts.items())
 
 
 @PROPERTY

@@ -6,7 +6,7 @@ import pytest
 
 from qgqec import stats, tables
 from qgqec.cases import CaseId
-from qgqec.circuits import Counts
+from qgqec.circuits import Counts, parse_count_rows
 
 
 def two_pass_mean_var(values):
@@ -80,6 +80,16 @@ def test_counts_object_input():
     assert stats.mean_counts(counts) == 4.0
     assert stats.variance_counts(counts) == 4.0
     assert stats.error_rate(counts, lambda o, c: o == "11") == 25.0
+
+
+def test_negative_counts_rejected():
+    with pytest.raises(ValueError, match="negative count"):
+        parse_count_rows('outcome,count\n"00",5\n"01",-1\n')
+    with pytest.raises(ValueError, match="negative count"):
+        Counts({"00": 5, "01": -3})
+    with pytest.raises(ValueError, match="negative count"):
+        Counts({"00": 5, "01": -1}, 4)
+    assert parse_count_rows('"00",0\n"01",3\n') == [("00", 0), ("01", 3)]
 
 
 def test_summary_validation():
