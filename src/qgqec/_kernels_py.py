@@ -18,15 +18,20 @@ with numpy and maps only the distinct indices to outcomes
 
 The decode sweep relies on the code being linear: the distances from a
 received word to all k codewords are the k distances of the error pattern to
-the codewords themselves, re-indexed.  ``sweep_weight`` computes those k - 1
-popcounts per pattern on chunks of at most ``SWEEP_CHUNK`` patterns, so
-memory stays bounded at any weight.
+the codewords themselves, re-indexed.  Those depend only on how many flips
+land on each column type (the positions one set of codewords covers), so
+``sweep_weight`` decodes each composition of the weight over the types once
+and counts it for every pattern it stands for, as in the split weight
+enumerators of MacWilliams & Sloane.  Compositions come in chunks of at most
+``SWEEP_CHUNK``, so memory stays bounded at any weight; with every column
+distinct they are the patterns themselves.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb
+from operator import mul
 
 import numpy as np
 
@@ -39,11 +44,9 @@ MAX_TABLEAU_QUBITS = 64
 # shots per sampling chunk: bounds the sampler's per-chunk arrays (about
 # 0.5 MB each) at any shot count
 SHOT_CHUNK = 65536
-# error patterns per sweep chunk: bounds the sweep's arrays (about 200 KB)
-# at any weight; larger chunks gain little speed
+# compositions per sweep chunk: bounds the sweep's arrays at any weight and
+# any code (with every column distinct, one composition is one pattern)
 SWEEP_CHUNK = 4096
-_LOW_BITS = 10
-_LOW_SHIFT = np.uint64(_LOW_BITS)
 
 OP_H, OP_X, OP_Z, OP_CNOT, OP_CZ = 0, 1, 2, 3, 4
 
@@ -284,10 +287,10 @@ def sample_shots(num_qubits: int, ops, shots: int, seed: int) -> dict[int, int]:
     return dict(zip(outcomes_of(o0, cols, indices).tolist(), counts.tolist()))
 
 
-def _check_linear(m: int, cws: list[int]) -> None:
-    """Reject lists that are not the 2^n codewords of a linear code indexed
-    like ``QCCode.codewords()``: cws[l] is the XOR of cws[2^b] over the bits
-    b set in l, so cws[0] == 0.  O(k) integer operations."""
+def _check_linear(m: int, cws: tuple[int, ...]) -> None:
+    """Reject codewords that are not the 2^n codewords of a linear code
+    indexed like ``QCCode.codewords()``: cws[l] is the XOR of cws[2^b] over
+    the bits b set in l, so cws[0] == 0.  O(k) integer operations."""
     k = len(cws)
     if k == 0 or k & (k - 1):
         raise ValueError(f"need 2^n codewords, got {k}")
@@ -300,39 +303,93 @@ def _check_linear(m: int, cws: list[int]) -> None:
             raise ValueError(f"codeword {l} is not the XOR of its basis words")
 
 
-@lru_cache(maxsize=1)
-def _low_table() -> list[np.ndarray]:
-    """Ascending masks of _LOW_BITS bits, one array per popcount (built on
-    first use, so commands that never sweep do not pay for it)."""
-    masks = np.arange(1 << _LOW_BITS, dtype=np.uint64)
-    counts = np.bitwise_count(masks)
-    table = [masks[counts == w] for w in range(_LOW_BITS + 1)]
-    for row in table:
-        row.flags.writeable = False  # _weight_masks yields views of it
-    return table
+@lru_cache(maxsize=8)
+def _column_types(m: int, cws: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(sizes, covers): type i is the sizes[i] positions whose column (bit b
+    = the position's bit in cws[2^b]) is covers[i]; codeword t covers them
+    iff t & covers[i] has odd weight.  Built per code on first use."""
+    _check_linear(m, cws)
+    basis = [cws[1 << b] for b in range(len(cws).bit_length() - 1)]
+    columns: dict[int, int] = {}
+    for p in range(m):
+        u = sum((word >> p & 1) << b for b, word in enumerate(basis))
+        columns[u] = columns.get(u, 0) + 1
+    covers = tuple(sorted(columns))
+    return tuple(columns[u] for u in covers), covers
 
 
-def _weight_masks(m: int, weight: int, limit: int):
-    """Every m-bit mask of exactly `weight` set bits once, in arrays of at
-    most `limit` uint64 entries.
+@lru_cache(maxsize=8)
+def _cover_block(sizes: tuple[int, ...], covers: tuple[int, ...], lo: int, hi: int):
+    """(flips, base, starts, b_lo) for codewords lo..hi-1: compositions `rows`
+    have D[t] - weight = (rows @ flips + base)[t - lo], flips[i] being -2 and
+    base summing sizes[i] where t covers type i; the t of top bit b_lo + j
+    start at column starts[j]."""
+    t = np.arange(lo, hi, dtype=np.int64)
+    covered = (np.bitwise_count(np.array(covers, dtype=np.int64)[:, None] & t) & 1).astype(np.int16)
+    flips = -2 * covered
+    base = np.array(sizes, dtype=np.int16) @ covered
+    flips.flags.writeable = base.flags.writeable = False
+    b_lo = lo.bit_length() - 1
+    starts = [0] + [(1 << b) - lo for b in range(b_lo + 1, (hi - 1).bit_length())]
+    return flips, base, starts, b_lo
 
-    Up to ``_LOW_BITS`` bits a mask set is a prefix of one ascending table;
-    above that each mask is a high part (recursively, in chunks sized so the
-    product stays within `limit`) joined with every low part of the
-    remaining weight.
+
+@lru_cache(maxsize=64)
+def _composition_table(sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """(rows, mults, starts): all prod(sizes[i] + 1) compositions over types of
+    these sizes with their multiplicities, rows[starts[w]:starts[w + 1]]
+    those of weight w."""
+    grid = np.indices([s + 1 for s in sizes], dtype=np.int16).reshape(len(sizes), -1).T
+    weights = grid.sum(axis=1)
+    order = np.argsort(weights, kind="stable")
+    # the outer product of the per-type binomials, in the grid's row order
+    mults = reduce(np.multiply.outer, [np.array([comb(s, j) for j in range(s + 1)], dtype=np.int64)
+                                       for s in sizes]).ravel()
+    rows, mults = grid[order], mults[order]
+    rows.flags.writeable = mults.flags.writeable = False  # chunks are views of them
+    return rows, mults, [0] + np.cumsum(np.bincount(weights)).tolist()
+
+
+def _compositions(sizes: tuple[int, ...], weight: int, limit: int):
+    """Every composition (w_1..w_T) of `weight` with 0 <= w_i <= sizes[i]
+    once, as (rows, mults) chunks of at most `limit` rows; mults[r] =
+    prod C(sizes[i], w_i) is the number of error patterns it stands for.
+
+    The longest suffix of types with prod(sizes[i] + 1) <= `limit` (at least
+    one type) is one ``_composition_table``; the types before it recurse in
+    chunks small enough that each, joined with the tail rows of the
+    remaining weight, fits in `limit` rows, and joined blocks are packed up
+    to `limit` rows.
     """
-    if m <= _LOW_BITS:
-        table = _low_table()[weight][:comb(m, weight)]
-        for i in range(0, len(table), limit):
-            yield table[i:i + limit]
+    split, span = len(sizes) - 1, sizes[-1] + 1
+    while split and span * (sizes[split - 1] + 1) <= limit:
+        split -= 1
+        span *= sizes[split] + 1
+    rows, mults, starts = _composition_table(sizes[split:])
+    if not split:
+        yield rows[starts[weight]:starts[weight + 1]], mults[starts[weight]:starts[weight + 1]]
         return
-    high_bits = m - _LOW_BITS
-    for low_weight in range(max(0, weight - high_bits), min(weight, _LOW_BITS) + 1):
-        low = _low_table()[low_weight]
-        for high in _weight_masks(high_bits, weight - low_weight, max(1, limit // len(low))):
-            block = ((high << _LOW_SHIFT)[:, None] | low).ravel()
-            for i in range(0, len(block), limit):
-                yield block[i:i + limit]
+    head, pieces, held = sizes[:split], [], 0
+    for tail_weight in range(max(0, weight - sum(head)), min(weight, len(starts) - 2) + 1):
+        lo, hi = starts[tail_weight], starts[tail_weight + 1]
+        head_limit = max(1, limit // (hi - lo))
+        for first, first_mults in _compositions(head, weight - tail_weight, head_limit):
+            if held + len(first) * (hi - lo) > limit:
+                yield _stacked(pieces)
+                pieces, held = [], 0
+            block = np.empty((len(first), hi - lo, len(sizes)), dtype=np.int16)
+            block[:, :, :split] = first[:, None]
+            block[:, :, split:] = rows[lo:hi]
+            joined_mults = (first_mults[:, None] * mults[lo:hi]).ravel()
+            pieces.append((block.reshape(-1, len(sizes)), joined_mults))
+            held += len(first) * (hi - lo)
+    if pieces:
+        yield _stacked(pieces)
+
+
+def _stacked(pieces):
+    rows, mults = zip(*pieces)
+    return np.concatenate(rows), np.concatenate(mults)
 
 
 def sweep_weight(m: int, codewords, weight: int) -> tuple[int, int]:
@@ -343,29 +400,45 @@ def sweep_weight(m: int, codewords, weight: int) -> tuple[int, int]:
     and corrected means minimum-distance decoding (ties to the smallest
     index, as ``aqecc.decode``) returned that codeword.
 
-    Linearity makes one pass over the k - 1 distances D[t] = wt(e ^ cw_t)
-    per pattern e enough: received cw_l ^ e lies at D[l ^ j] from cw_j, and
-    D[0] = weight.  Decoding returns l iff D[t] > weight for every t != 0
-    whose top bit is set in l and D[t] >= weight for the rest, so with M_b
-    the least D[t] over the t of top bit b, the pattern is corrected for
-    prod_b ([M_b >= weight] + [M_b > weight]) of the k codewords.  Patterns
-    are processed in numpy chunks of at most ``SWEEP_CHUNK``.
+    Linearity makes the k - 1 distances D[t] = wt(e ^ cw_t) of a pattern e
+    enough: received cw_l ^ e lies at D[l ^ j] from cw_j, and D[0] = weight.
+    Decoding returns l iff D[t] > weight for every t != 0 whose top bit is
+    set in l and D[t] >= weight for the rest, so with M_b the least D[t]
+    over the t of top bit b, the pattern is corrected for
+    prod_b ([M_b >= weight] + [M_b > weight]) of the k codewords.
+
+    D depends only on the composition (w_1..w_T) of e over the column types
+    (``_column_types``): D[t] - weight = sum_i (m_i - 2 w_i) [t covers type
+    i], one small integer matmul per chunk of ``_compositions``.  The rule
+    is applied once per composition, weighted by its prod C(m_i, w_i)
+    patterns.  Each factor is 0 or 2^j, so multiplicities are summed per
+    factor (each sum at most C(m, weight) < 2^63) into exact Python ints.
+    A chunk holds at most ``SWEEP_CHUNK`` compositions, and its distances
+    are taken max(T, SWEEP_CHUNK / rows) codewords at a time, no more cells
+    than the chunk or SWEEP_CHUNK, so memory is bounded at any weight and k.
     """
     if weight < 1 or weight > m:
         return 0, 0
     if m > 64:
         raise ValueError("sweep supports at most 64 physical bits")
-    cws = list(codewords)
-    _check_linear(m, cws)
-    words = np.array(cws, dtype=np.uint64)
-    patterns = corrected = 0
-    for errors in _weight_masks(m, weight, SWEEP_CHUNK):
-        counts = np.ones(len(errors), dtype=np.int64)
-        for b in range(len(cws).bit_length() - 1):
-            least = np.bitwise_count(errors ^ words[1 << b])
-            for t in range((1 << b) + 1, 2 << b):
-                np.minimum(least, np.bitwise_count(errors ^ words[t]), out=least)
-            counts *= (least >= weight).astype(np.int64) + (least > weight)
-        patterns += len(errors)
-        corrected += int(counts.sum())
-    return patterns * len(cws), corrected
+    cws = tuple(codewords)
+    sizes, covers = _column_types(m, cws)
+    k, limit = len(cws), SWEEP_CHUNK
+    top_bits = k.bit_length() - 1
+    # factor 0 (not corrected) and each power of two 2^0..2^top_bits
+    factors = [0] + [1 << j for j in range(top_bits + 1)]
+    per_factor = [0] * len(factors)
+    for rows, mults in _compositions(sizes, weight, limit):
+        least = np.empty((len(rows), top_bits), dtype=np.int16)  # M_b - weight
+        least.fill(m + 1)
+        width = max(len(sizes), limit // len(rows))
+        for lo in range(1, k, width):
+            flips, base, starts, b_lo = _cover_block(sizes, covers, lo, min(lo + width, k))
+            runs = least[:, b_lo:b_lo + len(starts)]
+            np.minimum(runs, np.minimum.reduceat(rows @ flips + base, starts, axis=1), out=runs)
+        # prod_b ([M_b >= weight] + [M_b > weight]), then the multiplicity
+        # of each factor: every sum is at most C(m, weight) < 2^63
+        factor = np.multiply.reduce(np.sign(least) + 1, axis=1, dtype=np.int64)
+        sums = mults @ (factor[:, None] == np.array(factors))
+        per_factor = [a + b for a, b in zip(per_factor, sums.tolist())]
+    return sum(per_factor) * k, sum(map(mul, per_factor, factors))

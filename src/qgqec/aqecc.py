@@ -191,16 +191,28 @@ def decode(code: QCCode, received: str) -> tuple[str, str, int]:
     go to the lexicographically smallest logical bits.
     """
     m, n = code.spec.m_physical, code.spec.n_logical
+    logical, dist = _nearest(code, _received_word(code, received))
+    return int_to_bits(logical, n), int_to_bits(code.codewords()[logical], m), dist
+
+
+def _received_word(code: QCCode, received: str) -> int:
+    """An M-character received bitstring as an integer."""
+    m = code.spec.m_physical
     if len(received) != m:
         raise ValueError(f"expected {m} bits, got {len(received)}")
-    r = bits_to_int(received)
-    codewords = code.codewords()
-    best_l, best_d = 0, m + 1
-    for l, cw in enumerate(codewords):
-        dist = popcount(r ^ cw)
+    return bits_to_int(received)
+
+
+def _nearest(code: QCCode, word: int) -> tuple[int, int]:
+    """(logical index, distance) of the codeword nearest to an M-bit
+    integer word, ties to the smallest index: the integer core that
+    `decode` and outcome classification share."""
+    best_l, best_d = 0, code.spec.m_physical + 1
+    for l, cw in enumerate(code.codewords()):
+        dist = popcount(word ^ cw)
         if dist < best_d:
             best_l, best_d = l, dist
-    return int_to_bits(best_l, n), int_to_bits(codewords[best_l], m), best_d
+    return best_l, best_d
 
 
 def stabilizer_check_operators(code: QCCode) -> list[pauli.PauliOperator]:

@@ -7,7 +7,7 @@ import json
 from dataclasses import dataclass
 
 from qgqec import aqecc, sim, stats
-from qgqec._bits import bits_to_int
+from qgqec._bits import int_to_bits
 from qgqec.backend import kernels
 from qgqec.cases import CaseId
 from qgqec.circuits import Circuit, Counts
@@ -117,13 +117,21 @@ def classify_outcome(code: aqecc.QCCode, outcome: str, error_positions) -> bool:
     injected flips and the same logical bits as the error-free string."""
     m = code.spec.m_physical
     positions = check_error_positions(error_positions, m)
-    error_mask = 0
-    for p in positions:
-        error_mask |= 1 << (m - 1 - p)
-    ideal = format(bits_to_int(outcome) ^ error_mask, f"0{m}b")
-    ideal_logical, _, _ = aqecc.decode(code, ideal)
-    logical, _, weight = aqecc.decode(code, outcome)
-    return weight == len(positions) and logical == ideal_logical
+    return _is_corrected(code, outcome, _error_mask(positions, m), len(positions))
+
+
+def _error_mask(positions: tuple[int, ...], m: int) -> int:
+    """The M-bit word with the injected positions set (position 0 is the
+    most significant bit, as in the bitstrings)."""
+    return sum(1 << (m - 1 - p) for p in positions)
+
+
+def _is_corrected(code: aqecc.QCCode, outcome: str, error_mask: int, weight: int) -> bool:
+    """`classify_outcome` on integers: the outcome decodes at distance
+    `weight`, to the logical index of the outcome with the flips undone."""
+    word = aqecc._received_word(code, outcome)
+    logical, dist = aqecc._nearest(code, word)
+    return dist == weight and logical == aqecc._nearest(code, word ^ error_mask)[0]
 
 
 def run_case(case, family: str, shots: int, seed: int, error_positions=()) -> CaseReport:
@@ -132,13 +140,15 @@ def run_case(case, family: str, shots: int, seed: int, error_positions=()) -> Ca
     _check_family(family)
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    circuit = build_case_circuit(case, family, error_positions)
+    positions = check_error_positions(error_positions, case.m_physical)
+    circuit = build_case_circuit(case, family, positions)
     counts = sim.tableau_run(circuit, shots, seed)
     code = aqecc.build_qc_code(case)
 
+    mask = _error_mask(positions, case.m_physical)
     corrected = 0
     for outcome, count in counts.counts.items():
-        if classify_outcome(code, outcome, error_positions):
+        if _is_corrected(code, outcome, mask, len(positions)):
             corrected += count
     uncorrected = counts.total_shots - corrected
 
@@ -156,7 +166,7 @@ def run_case(case, family: str, shots: int, seed: int, error_positions=()) -> Ca
         corrected_shots=corrected,
         uncorrected_shots=uncorrected,
         stats=summary,
-        error_positions=tuple(error_positions),
+        error_positions=positions,
         seed=seed,
     )
 
@@ -165,11 +175,11 @@ def decoded_histogram(case, counts: Counts) -> dict[str, int]:
     """Histogram of decoded logical bitstrings over measured outcomes."""
     case = case if isinstance(case, CaseId) else CaseId.parse(case)
     code = aqecc.build_qc_code(case)
-    out: dict[str, int] = {}
+    by_index: dict[int, int] = {}
     for outcome, count in counts.counts.items():
-        logical, _, _ = aqecc.decode(code, outcome)
-        out[logical] = out.get(logical, 0) + count
-    return out
+        logical, _ = aqecc._nearest(code, aqecc._received_word(code, outcome))
+        by_index[logical] = by_index.get(logical, 0) + count
+    return {int_to_bits(logical, case.n_logical): n for logical, n in by_index.items()}
 
 
 @dataclass(frozen=True)

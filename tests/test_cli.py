@@ -4,8 +4,11 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgqec import tables
+from qgqec.cases import CaseId
 from qgqec.cli import main
 
 
@@ -131,6 +134,53 @@ def test_sweep_outputs_and_exit_codes(runner, tmp_path):
 
     assert runner.invoke(main, ["sweep", "--case", "c9"]).exit_code == 2
     assert runner.invoke(main, ["sweep", "--case", "c1", "--max-weight", "0"]).exit_code == 2
+
+
+@st.composite
+def sweep_argvs(draw):
+    """(argv, case) for `sweep`: every --max-weight in 1..M, boundary,
+    negative, huge and non-integer ones, or none; any --threads."""
+    case = draw(st.sampled_from(list(CaseId)))
+    m = case.m_physical
+    argv = ["sweep", "--case", draw(st.sampled_from([case.name.lower(), case.name]))]
+    max_weight = {
+        "none": st.none(),
+        "valid": st.integers(1, m).map(str),
+        "boundary": st.sampled_from(["0", str(m + 1), "-1", " 3", "+2", "1_0"]),
+        "negative": st.integers(-(10 ** 30), -1).map(str),
+        "huge": st.integers(m + 1, 10 ** 30).map(str),
+        "text": st.sampled_from(["", "1.5", "two", "0x3", "2e1", "nan"]),
+    }[draw(st.sampled_from(["none", "valid", "valid", "valid",
+                            "boundary", "negative", "huge", "text"]))]
+    max_weight = draw(max_weight)
+    if max_weight is not None:
+        argv += ["--max-weight", max_weight]
+    threads = {
+        "none": st.none(),
+        "int": st.integers(-(10 ** 20), 10 ** 20).map(str),
+        "text": st.sampled_from(["", "x", "1.5"]),
+    }[draw(st.sampled_from(["none", "int", "int", "text"]))]
+    threads = draw(threads)
+    if threads is not None:
+        argv += ["--threads", threads]
+    return argv, case, max_weight
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(sweep_argvs())
+def test_sweep_any_input_exits_0_or_2_without_traceback(drawn):
+    argv, case, max_weight = drawn
+    result = CliRunner().invoke(main, argv)
+    assert result.exit_code in (0, 2), (argv, result.output)
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    if result.exit_code == 0:
+        weight = case.capability if max_weight is None else int(max_weight)
+        assert 1 <= weight <= case.m_physical
+        lines = result.stdout.splitlines()
+        assert len(lines) == weight + 3
+        assert lines[-1] == f"all corrected up to weight {min(weight, case.capability)}: True"
+    else:
+        assert "Error" in result.output and "Traceback" not in result.output
 
 
 def test_sweep_max_weight_above_m_exits_2(runner):

@@ -6,6 +6,8 @@ import threading
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgqec import aqecc, experiments, sim
 from qgqec.backend import kernels
@@ -162,6 +164,55 @@ def test_classify_outcome_rules():
     assert experiments.classify_outcome(code, flipped, (0,))
     # wrong claimed position: decode weight 1 != 0 injected
     assert not experiments.classify_outcome(code, flipped, ())
+
+
+def string_classify_reference(code, outcome, positions):
+    """`classify_outcome` by its string definition: undo the injected flips
+    with a format round trip and decode both bitstrings."""
+    m = code.spec.m_physical
+    mask = sum(1 << (m - 1 - p) for p in positions)
+    ideal_logical, _, _ = aqecc.decode(code, format(int(outcome, 2) ^ mask, f"0{m}b"))
+    logical, _, weight = aqecc.decode(code, outcome)
+    return weight == len(positions) and logical == ideal_logical
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(list(CaseId)), st.data())
+def test_classify_outcome_equals_string_definition(case, data):
+    code = aqecc.build_qc_code(case)
+    m = case.m_physical
+    if data.draw(st.booleans()):  # a codeword with a few flips
+        word = code.codewords()[data.draw(st.integers(0, len(code.codewords()) - 1))]
+        for p in data.draw(st.lists(st.integers(0, m - 1), max_size=case.capability + 1)):
+            word ^= 1 << p
+        outcome = format(word, f"0{m}b")
+    else:
+        outcome = data.draw(st.text("01", min_size=m, max_size=m))
+    positions = tuple(data.draw(st.lists(st.integers(0, m - 1), unique=True,
+                                         max_size=case.capability + 2)))
+    assert experiments.classify_outcome(code, outcome, positions) == \
+        string_classify_reference(code, outcome, positions)
+    for bad in (outcome[1:], outcome + "0"):
+        with pytest.raises(ValueError, match=f"expected {m} bits"):
+            experiments.classify_outcome(code, bad, positions)
+
+
+@pytest.mark.parametrize("case", list(CaseId))
+def test_run_case_and_decoded_histogram_equal_string_decoding(case):
+    positions = tuple(range(0, 2 * case.capability, 2))
+    with mock.patch.object(experiments, "_error_mask", wraps=experiments._error_mask) as mask:
+        report = experiments.run_case(case, "aqecc", 512, 3, positions)
+    assert mask.call_count == 1  # once per run, not once per outcome
+    code = aqecc.build_qc_code(case)
+    corrected = sum(count for outcome, count in report.counts.counts.items()
+                    if string_classify_reference(code, outcome, positions))
+    assert report.corrected_shots == corrected
+    expected = {}
+    for outcome, count in report.counts.counts.items():
+        logical = aqecc.decode(code, outcome)[0]
+        expected[logical] = expected.get(logical, 0) + count
+    histogram = experiments.decoded_histogram(case, report.counts)
+    assert list(histogram.items()) == list(expected.items())
 
 
 def test_classify_outcome_rejects_bad_positions():

@@ -4,11 +4,12 @@ The ``run`` and ``backends-check`` digests in ``golden/cli_digests.json``
 were recorded from the per-shot tableau sampler and the branching
 distribution enumerator that the affine sampler replaced; the ``sweep``,
 ``export-code`` and ``stats`` digests from the k^2-popcount Python decode
-sweep that the linear numpy sweep replaced; the 400- and 30-circuit
-``backends-check`` digests from the ``tensordot``-per-gate dense engine that
-the index-update engine replaced.  Any change to sampled counts, sweep
-counts, report layout or cross-check output shows up here.  Re-record only
-for an intended output change:
+sweep that the linear numpy sweep replaced, and the C4 sweeps at weights 14
+and 29 from that per-pattern numpy sweep before the composition sweep
+replaced it; the 400- and 30-circuit ``backends-check`` digests from the
+``tensordot``-per-gate dense engine that the index-update engine replaced.
+Any change to sampled counts, sweep counts, report layout or cross-check
+output shows up here.  Re-record only for an intended output change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -43,11 +44,12 @@ CROSSCHECKS += [["backends-check", "--circuits", "400", "--max-qubits", "12", "-
 CROSSCHECKS += [["backends-check", "--circuits", "30", "--max-qubits", "16", "--max-gates", "120",
                  "--seed", "5"]]
 
-# default weight P, beyond-P weights, and fixed thread counts (output must
-# not depend on --threads)
+# default weight P, beyond-P weights (C4 up to M), and fixed thread counts
+# (output must not depend on --threads)
 SWEEPS = [["sweep", "--case", case] for case in ERRORS]
 SWEEPS += [["sweep", "--case", case, "--max-weight", w]
-           for case, w in (("c1", "8"), ("c2", "10"), ("c3", "13"), ("c4", "6"))]
+           for case, w in (("c1", "8"), ("c2", "10"), ("c3", "13"), ("c4", "6"),
+                           ("c4", "14"), ("c4", "29"))]
 SWEEPS += [["sweep", "--case", case, "--threads", t] + extra
            for t in ("1", "3")
            for case, extra in (("c4", []), ("c2", ["--max-weight", "10"]))]

@@ -1,9 +1,10 @@
 """Kernel tests: the affine shot sampler against the per-shot tableau loop
 (each shot's outcome, and the chunked histogram at every chunk size), the
 one-pass outcome map against its r + 1-pass definition, the vectorised
-RNG against the scalar streams, and the linear numpy decode sweep against
-the per-pattern k^2 decode loop it replaced (random linear codes, small
-chunk sizes so chunk boundaries are crossed).
+RNG against the scalar streams, and the composition decode sweep against
+the per-pattern k^2 decode loop (random linear codes with repeated, zero
+and all-distinct columns, small chunk sizes so chunk boundaries are
+crossed) and against a Python-int composition reference beyond int64.
 """
 
 import tracemalloc
@@ -269,7 +270,8 @@ def span(rows):
 
 @st.composite
 def linear_codes(draw, max_bits=14, max_logical=4):
-    """(m, full-rank generator rows) with m <= max_bits, n <= max_logical."""
+    """(m, full-rank generator rows) with m <= max_bits, n <= max_logical.
+    Columns repeat whenever m > 2^n, and zero columns are common."""
     m = draw(st.integers(1, max_bits))
     n = draw(st.integers(1, min(m, max_logical)))
     rows = draw(st.lists(st.integers(1, (1 << m) - 1), min_size=n, max_size=n))
@@ -277,8 +279,40 @@ def linear_codes(draw, max_bits=14, max_logical=4):
     return m, rows
 
 
+@st.composite
+def padded_codes(draw, max_bits=14, max_logical=4):
+    """A linear code with a zero column and a copy of one of its columns
+    appended at bits 1 and 0."""
+    m, rows = draw(linear_codes(max_bits - 2, max_logical))
+    p = draw(st.integers(0, m - 1))
+    return m + 2, [r << 2 | (r >> p & 1) for r in rows]
+
+
+@st.composite
+def distinct_column_codes(draw, max_bits=14, max_logical=4):
+    """(m, rows) of a code whose m <= 2^n columns are all distinct, so every
+    column type has one position and compositions are patterns."""
+    n = draw(st.integers(1, max_logical))
+    columns = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n,
+                            max_size=min(1 << n, max_bits), unique=True))
+    m = len(columns)
+    rows = [sum((u >> j & 1) << p for p, u in enumerate(columns)) for j in range(n)]
+    assume(gf2.rank(rows, m) == n)
+    return m, rows
+
+
+def any_codes(max_bits=14, max_logical=4):
+    return st.one_of(linear_codes(max_bits, max_logical), padded_codes(max_bits, max_logical),
+                     distinct_column_codes(max_bits, max_logical))
+
+
+def column_types(m, rows):
+    """Positions per distinct column (bit j of a column is row j's bit)."""
+    return Counter(tuple(r >> p & 1 for r in rows) for p in range(m))
+
+
 @PROPERTY
-@given(linear_codes(), st.data())
+@given(any_codes(), st.data())
 def test_sweep_weight_equals_per_pattern_loop(code, data):
     m, rows = code
     cws = span(rows)
@@ -288,8 +322,26 @@ def test_sweep_weight_equals_per_pattern_loop(code, data):
         assert pure.sweep_weight(m, cws, weight) == per_pattern_reference(m, cws, weight)
 
 
+def test_code_strategies_draw_repeated_zero_and_distinct_columns():
+    kinds = set()
+
+    @PROPERTY
+    @given(any_codes())
+    def record(code):
+        types = column_types(*code)
+        if any(count > 1 for count in types.values()):
+            kinds.add("repeated")
+        if (0,) * len(code[1]) in types:
+            kinds.add("zero")
+        if all(count == 1 for count in types.values()):
+            kinds.add("distinct")
+
+    record()
+    assert kinds == {"repeated", "zero", "distinct"}
+
+
 @PROPERTY
-@given(linear_codes(max_bits=20, max_logical=5))
+@given(any_codes(max_bits=20, max_logical=5))
 def test_sweep_totals_and_capability(code):
     m, rows = code
     cws = span(rows)
@@ -341,52 +393,130 @@ def test_sweep_weight_rejects_one_corrupted_codeword(code, data):
         pure.sweep_weight(m, cws, 1)
 
 
+def composition_count(sizes, weight):
+    """Compositions of `weight` with 0 <= w_i <= sizes[i]: a coefficient of
+    prod_i (1 + x + ... + x^sizes[i])."""
+    poly = [1]
+    for size in sizes:
+        poly = [sum(poly[max(0, w - size):w + 1]) for w in range(len(poly) + size)]
+    return poly[weight] if weight < len(poly) else 0
+
+
+@st.composite
+def type_sizes(draw):
+    """Up to 16 type sizes of at most 64 positions in all (the sweep's
+    bound), truncated while prod(size + 1) <= 30000; all-1 tuples of up to
+    22 (every column distinct: the compositions are the patterns) are drawn
+    on purpose."""
+    if draw(st.booleans()):
+        return (1,) * draw(st.integers(1, 22))
+    sizes, span_ = [], 1
+    for size in draw(st.lists(st.integers(1, 40), min_size=1, max_size=16)):
+        if sizes and (span_ * (size + 1) > 30000 or sum(sizes) + size > 64):
+            break
+        sizes.append(size)
+        span_ *= size + 1
+    return tuple(sizes)
+
+
 @PROPERTY
-@given(st.integers(1, 22), st.data())
-def test_weight_masks_cover_each_mask_once_in_bounded_chunks(m, data):
-    weight = data.draw(st.integers(0, m))
-    total = comb(m, weight)
-    limit = data.draw(st.integers(max(1, total // 2000), 4096))
-    chunks = list(pure._weight_masks(m, weight, limit))
-    assert all(0 < len(c) <= limit for c in chunks)
-    masks = [int(v) for c in chunks for v in c.tolist()]
-    assert len(masks) == len(set(masks)) == total
-    assert all(0 <= v < 1 << m and v.bit_count() == weight for v in masks)
+@given(type_sizes(), st.data())
+def test_compositions_cover_each_composition_once_in_bounded_chunks(sizes, data):
+    weight = data.draw(st.integers(0, sum(sizes)))
+    count = composition_count(sizes, weight)
+    limit = data.draw(st.integers(max(1, count // 2000), 4096))
+    chunks = list(pure._compositions(sizes, weight, limit))
+    assert all(0 < len(rows) == len(mults) <= limit for rows, mults in chunks)
+    rows = np.concatenate([rows for rows, _ in chunks])
+    mults = np.concatenate([mults for _, mults in chunks])
+    assert rows.shape == (count, len(sizes))
+    assert len(np.unique(rows, axis=0)) == count
+    assert (rows.sum(axis=1) == weight).all()
+    assert ((0 <= rows) & (rows <= sizes)).all()
+    # each multiplicity is prod C(sizes[i], w_i) (at most C(64, 32) < 2^63)
+    binomials = np.array([[comb(size, w) for w in range(max(sizes) + 1)] for size in sizes])
+    assert (mults == binomials[np.arange(len(sizes)), rows].prod(axis=1)).all()
+    assert sum(mults.tolist()) == comb(sum(sizes), weight)
+
+
+def distinct_column_code(m, n):
+    """Codewords of the [m, n] code whose columns are the n unit vectors and
+    then the next m - n other nonzero n-bit values: every column distinct."""
+    columns = [1 << j for j in range(n)] + [u for u in range(1, 1 << n) if u & (u - 1)][:m - n]
+    return span([sum((u >> j & 1) << p for p, u in enumerate(columns)) for j in range(n)])
 
 
 @pytest.mark.parametrize("chunk", [7, 50])
 def test_sweep_chunks_never_exceed_the_constant(chunk):
+    m, weight = 14, 3
+    cws = distinct_column_code(m, 4)
     seen = []
-    masks = pure._weight_masks
+    compositions = pure._compositions
 
-    def recording(m, weight, limit):
-        for errors in masks(m, weight, limit):
-            if m == 29:  # the chunks sweep_weight decodes, not the high parts
-                seen.append(len(errors))
-            yield errors
+    def recording(sizes, weight, limit):
+        for rows, mults in compositions(sizes, weight, limit):
+            if len(sizes) == m:  # the chunks sweep_weight decodes, not the head parts
+                seen.append(len(rows))
+            yield rows, mults
 
-    code = aqecc.build_qc_code("C4")
     with mock.patch.object(pure, "SWEEP_CHUNK", chunk), \
-            mock.patch.object(pure, "_weight_masks", recording):
-        assert pure.sweep_weight(29, code.codewords(), 3) == (2 * comb(29, 3), 2 * comb(29, 3))
-    assert sum(seen) == comb(29, 3) and max(seen) <= chunk
+            mock.patch.object(pure, "_compositions", recording):
+        assert pure.sweep_weight(m, cws, weight) == per_pattern_reference(m, cws, weight)
+    assert sum(seen) == comb(m, weight) and max(seen) <= chunk
 
 
 @pytest.mark.parametrize("chunk", [512, 4096])
-def test_sweep_memory_is_bounded_by_the_chunk(chunk):
-    # a chunk's arrays (masks, XOR temporary, int64 counts) take about 50
-    # bytes per pattern; C4 at weight 8 has 4.3M patterns
-    cws = aqecc.build_qc_code("C4").codewords()
-    pure._low_table()
+@pytest.mark.parametrize("n", [5, 10])
+def test_sweep_memory_is_bounded_by_the_chunk(chunk, n):
+    # every column distinct, so a chunk holds `chunk` patterns, each a row
+    # of m int16 counts; the chunk's arrays (its packed pieces, distances,
+    # the tie rule's temporaries) hold a few copies of that, also when the
+    # k - 1 = 1023 distances per pattern (n = 10) are far more than m.
+    # Weight 6 has 38,760 patterns and weight 8 125,970.
+    m = 20
+    cws = distinct_column_code(m, n)
+    weights = (6, 8) if n == 5 else (6,)
     with mock.patch.object(pure, "SWEEP_CHUNK", chunk):
-        for weight in (6, 8):
+        pure.sweep_weight(m, cws, 1)  # the column types and tables, cached
+        for weight in weights:
             tracemalloc.start()
             try:
-                pure.sweep_weight(29, cws, weight)
+                cases, _ = pure.sweep_weight(m, cws, weight)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 100 * chunk + 32768
+            assert cases == len(cws) * comb(m, weight)
+            assert peak < 12 * m * chunk + 131072
+
+
+def test_sweep_totals_beyond_int64_equal_python_int_reference():
+    """m = 64, n = 3, each of the 8 column types (zero column included) on
+    8 positions; weight 32 has 8 * C(64, 32) > 2^63 cases.  The reference
+    enumerates the 2,306,025 compositions, decodes each (codeword, pattern)
+    by its k^2 definition on numpy distances, and sums Python ints."""
+    m, n, weight, size = 64, 3, 32, 8
+    rows = [sum((p // size >> j & 1) << p for p in range(m)) for j in range(n)]
+    cws = span(rows)
+    # covers[u, t]: codeword t covers the 8 positions of type u
+    covers = np.array([[cws[t] >> (size * u) & 1 for t in range(8)] for u in range(8)])
+    assert len({tuple(c) for c in covers.tolist()}) == 8
+    binomials = np.array([comb(size, j) for j in range(size + 1)], dtype=np.int64)
+    halves = np.indices((size + 1,) * 4).reshape(4, -1).T
+    half_weights = halves.sum(axis=1)
+    cases = corrected = 0
+    for left_weight in range(weight - 4 * size, 4 * size + 1):
+        right = halves[half_weights == weight - left_weight]
+        for left in np.array_split(halves[half_weights == left_weight], 8):
+            comps = np.concatenate([np.repeat(left, len(right), axis=0),
+                                    np.tile(right, (len(left), 1))], axis=1)
+            # wt(e ^ cw_t): covered positions count their unflipped bits
+            dist = comps @ (1 - 2 * covers) + size * covers.sum(axis=0)
+            won = sum(dist[:, [l ^ j for j in range(8)]].argmin(axis=1) == l for l in range(8))
+            mults = binomials[comps].prod(axis=1).astype(object)
+            cases += 8 * mults.sum()
+            corrected += np.dot(mults, won.astype(object))
+    assert cases == 8 * comb(64, 32) > 1 << 63
+    assert pure.sweep_weight(m, cws, weight) == (cases, corrected)
 
 
 @pytest.mark.parametrize("case", list(CaseId))
