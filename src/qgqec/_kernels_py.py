@@ -2,15 +2,20 @@
 shot sampler and decode sweep.  This is the only kernel module;
 ``backend.kernels`` is this module object.
 
-Tableau layout (Aaronson-Gottesman): rows 0..n-1 are destabilizers,
-n..2n-1 stabilizers; each row packs its X and Z components into one
-64-bit-capable integer with qubit q at bit q, plus a sign bit.
+Tableau layout (Aaronson-Gottesman rows, stored by column as in Gidney's
+Stim): rows 0..n-1 are destabilizers, n..2n-1 stabilizers, and row i is bit
+i of every column.  Qubit q has an X column and a Z column, each one 2n-bit
+Python int, and one more int holds the row signs.  A gate is a handful of
+big-int operations on its qubits' columns; a random measurement multiplies
+one stabilizer into every anticommuting row at once, one column at a time,
+summing the phases in a bit-sliced mod-4 counter.
 
 Shot sampling is affine over GF(2) (reference sample plus frames, as in
 Gidney's Stim): whether measurement q is random does not depend on earlier
 outcomes, and every outcome bit is an XOR of the random bits consumed before
 it.  ``outcome_map`` finds that map in one measurement pass with every
-random bit 0, tracking one Pauli frame per random measurement.  A shot's
+random bit 0, tracking one Pauli frame per random measurement, and reads the
+deterministic outcomes from the stabilizer signs at the end.  A shot's
 outcome is then a function of its random-bit index alone, so
 ``sample_shots`` histograms the indices of ``SHOT_CHUNK`` shots at a time
 with numpy and maps only the distinct indices to outcomes
@@ -36,7 +41,7 @@ from operator import mul
 import numpy as np
 
 from qgqec._bits import popcount
-from qgqec.rng import ShotStream, first_words
+from qgqec.rng import first_words
 
 BACKEND_NAME = "pure"
 MAX_TABLEAU_QUBITS = 64
@@ -52,171 +57,128 @@ OP_H, OP_X, OP_Z, OP_CNOT, OP_CZ = 0, 1, 2, 3, 4
 
 
 class TableauEngine:
-    __slots__ = ("n", "mask", "xs", "zs", "rs")
+    """Stabilizer tableau of n qubits, stored by column as in Stim.
+
+    Rows 0..n-1 are destabilizers and n..2n-1 stabilizers.  Row i is bit i
+    of every column: bit i of xcols[q] (zcols[q]) is set when row i has X
+    (Z) on qubit q, and bit i of `signs` is set when row i has sign -1.  A
+    gate is a few big-int operations on its qubits' columns, whatever n.
+    """
+
+    __slots__ = ("n", "xcols", "zcols", "signs")
 
     def __init__(self, n: int):
         if not 1 <= n <= MAX_TABLEAU_QUBITS:
             raise ValueError(f"tableau supports 1..{MAX_TABLEAU_QUBITS} qubits")
         self.n = n
-        self.mask = (1 << n) - 1
-        self.xs = [1 << i for i in range(n)] + [0] * n
-        self.zs = [0] * n + [1 << i for i in range(n)]
-        self.rs = [0] * (2 * n)
+        self.xcols = [1 << q for q in range(n)]
+        self.zcols = [1 << (n + q) for q in range(n)]
+        self.signs = 0
 
     def copy(self) -> "TableauEngine":
         t = TableauEngine.__new__(TableauEngine)
-        t.n, t.mask = self.n, self.mask
-        t.xs, t.zs, t.rs = self.xs[:], self.zs[:], self.rs[:]
+        t.n, t.signs = self.n, self.signs
+        t.xcols, t.zcols = self.xcols[:], self.zcols[:]
         return t
 
-    # -- gates ----------------------------------------------------------
-
     def apply(self, ops) -> None:
+        """Conjugate every row by each gate in turn (Aaronson & Gottesman's
+        update rules, applied to all 2n rows at once)."""
+        xs, zs, r = self.xcols, self.zcols, self.signs
         for code, a, b in ops:
             if code == OP_H:
-                self._h(a)
+                r ^= xs[a] & zs[a]
+                xs[a], zs[a] = zs[a], xs[a]
             elif code == OP_X:
-                self._x(a)
+                r ^= zs[a]
             elif code == OP_Z:
-                self._z(a)
+                r ^= xs[a]
             elif code == OP_CNOT:
-                self._cnot(a, b)
+                r ^= xs[a] & zs[b] & ~(xs[b] ^ zs[a])
+                xs[b] ^= xs[a]
+                zs[a] ^= zs[b]
             elif code == OP_CZ:
-                self._h(b)
-                self._cnot(a, b)
-                self._h(b)
+                r ^= xs[a] & xs[b] & (zs[a] ^ zs[b])
+                zs[a] ^= xs[b]
+                zs[b] ^= xs[a]
             else:
+                self.signs = r
                 raise ValueError(f"unknown opcode {code}")
-
-    def _h(self, q: int) -> None:
-        bit = 1 << q
-        xs, zs, rs = self.xs, self.zs, self.rs
-        for i in range(2 * self.n):
-            xq = xs[i] & bit
-            zq = zs[i] & bit
-            if xq and zq:
-                rs[i] ^= 1
-            if bool(xq) != bool(zq):
-                xs[i] ^= bit
-                zs[i] ^= bit
-
-    def _x(self, q: int) -> None:
-        bit = 1 << q
-        for i in range(2 * self.n):
-            if self.zs[i] & bit:
-                self.rs[i] ^= 1
-
-    def _z(self, q: int) -> None:
-        bit = 1 << q
-        for i in range(2 * self.n):
-            if self.xs[i] & bit:
-                self.rs[i] ^= 1
-
-    def _cnot(self, c: int, t: int) -> None:
-        bc, bt = 1 << c, 1 << t
-        xs, zs, rs = self.xs, self.zs, self.rs
-        for i in range(2 * self.n):
-            xc = xs[i] & bc
-            zt = zs[i] & bt
-            if xc and zt and (bool(xs[i] & bt) == bool(zs[i] & bc)):
-                rs[i] ^= 1
-            if xc:
-                xs[i] ^= bt
-            if zt:
-                zs[i] ^= bc
-
-    # -- rowsum phase ----------------------------------------------------
-
-    def _phase_sum(self, x1: int, z1: int, r1: int, x2: int, z2: int, r2: int) -> int:
-        """(2 r2 + 2 r1 + sum g) mod 4 for product row1 . row2."""
-        full = self.mask
-        y1 = x1 & z1
-        xonly = x1 & ~z1
-        zonly = ~x1 & z1 & full
-        pos = (
-            popcount(y1 & z2 & ~x2 & full)
-            + popcount(xonly & x2 & z2)
-            + popcount(zonly & x2 & ~z2 & full)
-        )
-        neg = (
-            popcount(y1 & x2 & ~z2 & full)
-            + popcount(xonly & z2 & ~x2 & full)
-            + popcount(zonly & x2 & z2)
-        )
-        return (2 * r1 + 2 * r2 + pos - neg) % 4
-
-    def _rowsum(self, h: int, i: int) -> None:
-        # destabilizer targets may hit an odd (imaginary) sum; the sign of a
-        # destabilizer is never outcome-visible, so s >> 1 is a fixed
-        # don't-care rule (the affine sampler's columns depend on it)
-        s = self._phase_sum(self.xs[i], self.zs[i], self.rs[i], self.xs[h], self.zs[h], self.rs[h])
-        self.rs[h] = s >> 1
-        self.xs[h] ^= self.xs[i]
-        self.zs[h] ^= self.zs[i]
+        self.signs = r
 
     # -- measurement -----------------------------------------------------
 
     def is_random(self, q: int) -> bool:
-        bit = 1 << q
-        xs = self.xs
-        for i in range(self.n, 2 * self.n):
-            if xs[i] & bit:
-                return True
-        return False
+        return self.xcols[q] >> self.n != 0
 
     def project(self, q: int, outcome: int) -> int:
         """Collapse a random Z measurement of qubit q to the given outcome and
         return the X mask of the replaced stabilizer, the Pauli that maps the
-        state after one outcome to the state after the other."""
-        n, bit = self.n, 1 << q
-        xs, zs, rs = self.xs, self.zs, self.rs
-        p = next(i for i in range(n, 2 * n) if xs[i] & bit)
-        for i in range(2 * n):
-            if i != p and (xs[i] & bit):
-                self._rowsum(i, p)
-        xs[p - n], zs[p - n], rs[p - n] = xs[p], zs[p], rs[p]
-        xs[p] = 0
-        zs[p] = bit
-        rs[p] = outcome
-        return xs[p - n]
+        state after one outcome to the state after the other.
 
-    def deterministic_outcome(self, q: int) -> int:
-        bit = 1 << q
-        sx = sz = sr = 0
-        for i in range(self.n):
-            if self.xs[i] & bit:
-                j = i + self.n
-                s = self._phase_sum(self.xs[j], self.zs[j], self.rs[j], sx, sz, sr)
-                sr = s >> 1
-                sx ^= self.xs[j]
-                sz ^= self.zs[j]
-        return sr
-
-    def measure_all(self, stream: ShotStream) -> int:
-        """Measure qubits 0..n-1 in order; bit q of the result is qubit q."""
-        out = 0
-        for q in range(self.n):
-            if self.is_random(q):
-                b = stream.next_bit()
-                self.project(q, b)
+        The first stabilizer p with X on q is multiplied into every other
+        row with X on q (the mask `hits`), all rows at once, one column of
+        p's support at a time.  The phase of each product is summed per row
+        in a bit-sliced mod-4 counter (lo, hi), each column adding Aaronson
+        & Gottesman's g = +-1 on the rows that anticommute with p there; the
+        product's sign is bit 1 of 2 r_p + 2 r_h + sum g, i.e. r_p ^ r_h ^
+        hi (an odd sum, possible only on destabilizers, whose signs no
+        outcome shows, drops its low bit).  Row p then moves to row p - n
+        and becomes +-Z_q, which touches only the columns where row p or
+        row p - n is not the identity.
+        """
+        n, xs, zs = self.n, self.xcols, self.zcols
+        stab = xs[q] >> n
+        pbit = (stab & -stab) << n  # row p
+        dbit = pbit >> n  # row p - n
+        both = pbit | dbit
+        keep = ~both
+        hits = xs[q] ^ pbit
+        lo = hi = flip = 0
+        for j, (x, z) in enumerate(zip(xs, zs)):
+            if not (x | z) & both:
+                continue
+            if x & pbit:
+                flip |= 1 << j
+                xh, zh = x & hits, z & hits
+                if z & pbit:  # Y: +1 where the row has Z, -1 where X
+                    hi ^= (xh ^ zh) & (lo ^ xh)
+                    lo ^= xh ^ zh
+                    zs[j] = (z ^ hits) & keep | dbit
+                else:  # X: +1 where Y, -1 where Z
+                    hi ^= zh & ~(lo ^ xh)
+                    lo ^= zh
+                    zs[j] = z & keep
+                xs[j] = (x ^ hits) & keep | dbit
+            elif z & pbit:  # Z: +1 where X, -1 where Y
+                xh = x & hits
+                hi ^= xh & (lo ^ z)
+                lo ^= xh
+                xs[j] = x & keep
+                zs[j] = (z ^ hits) & keep | dbit
             else:
-                b = self.deterministic_outcome(q)
-            out |= b << q
-        return out
+                xs[j] = x & keep
+                zs[j] = z & keep
+        r = self.signs ^ hi ^ (hits if self.signs & pbit else 0)
+        self.signs = r & keep | (r & pbit) >> n | (pbit if outcome else 0)
+        zs[q] |= pbit
+        return flip
 
 
 def outcome_map(engine) -> tuple[int, list[int]]:
     """(o0, cols): measuring all qubits of `engine` with random bits b_i
     gives o0 ^ XOR of cols[i] over the set b_i.
 
-    One pass over one copy with every random bit 0 gives o0.  Flipping bit
-    i applies the Pauli frame of measurement i, whose X mask flips every
-    later deterministic outcome it touches; a later random measurement keeps
-    its own bit, so it multiplies its own Pauli into every frame it flips.
-    `engine` is left unchanged.
+    One pass over one copy projects the random measurements, in qubit order,
+    with every random bit 0.  Flipping bit i applies the Pauli frame of
+    measurement i, whose X mask flips every later deterministic outcome it
+    touches; a later random measurement keeps its own bit, so it multiplies
+    its own Pauli into every frame it flips.  After the pass every qubit is
+    measured, so every stabilizer is a +-Z string, and Z_q is the product of
+    the stabilizers whose destabilizers have X on q: bit q of o0 is the
+    parity of their signs, with no phase sum.  `engine` is left unchanged.
     """
     t = engine.copy()
-    o0 = 0
     frames: list[int] = []
     cols: list[int] = []
     for q in range(t.n):
@@ -227,8 +189,11 @@ def outcome_map(engine) -> tuple[int, list[int]]:
             frames.append(flip)
             cols.append(bit)
         else:
-            o0 |= t.deterministic_outcome(q) << q
             cols = [c | bit if f & bit else c for c, f in zip(cols, frames)]
+    stab_signs = t.signs >> t.n
+    o0 = 0
+    for q, x in enumerate(t.xcols):
+        o0 |= (popcount(x & stab_signs) & 1) << q
     return o0, cols
 
 

@@ -168,8 +168,17 @@ class Counts:
 
     @classmethod
     def from_json(cls, text: str) -> "Counts":
+        """Read ``to_json`` output; any other shape raises ValueError or
+        KeyError."""
         d = json.loads(text)
-        return cls({str(k): int(v) for k, v in d["counts"].items()}, int(d["total_shots"]))
+        if not isinstance(d, dict) or not isinstance(d.get("counts"), dict):
+            raise ValueError("counts JSON needs a 'counts' object")
+        try:
+            counts = {str(k): int(v) for k, v in d["counts"].items()}
+            total = int(d["total_shots"])
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"counts and total_shots must be integers: {exc}") from None
+        return cls(counts, total)
 
     def to_csv(self) -> str:
         lines = ["outcome,count"]

@@ -126,7 +126,12 @@ def _load_rows(input_ref: str, column: str | None):
     path = Path(input_ref)
     if not path.exists():
         raise click.UsageError(f"{input_ref!r} is neither a table id nor a file")
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise click.UsageError(f"cannot read counts input {input_ref!r}: {exc.strerror}")
+    except UnicodeDecodeError:
+        raise click.UsageError(f"counts input {input_ref!r} is not UTF-8 text")
     try:
         if text.lstrip().startswith("{"):
             from qgqec.circuits import Counts

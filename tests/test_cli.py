@@ -4,7 +4,7 @@ import json
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qgqec import tables
@@ -307,6 +307,95 @@ def test_stats_negative_counts_exit_2(runner, tmp_path, text):
     assert isinstance(result.exception, SystemExit)
     assert "negative count" in result.output
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("kind", ["binary", "directory"])
+def test_stats_unreadable_input_exits_2(runner, tmp_path, kind):
+    if kind == "binary":
+        path = tmp_path / "counts.csv"
+        path.write_bytes(b'outcome,count\n"\xff\xfe",3\n')
+    else:
+        path = tmp_path / "counts"
+        path.mkdir()
+    result = runner.invoke(main, ["stats", str(path)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert repr(str(path)) in result.output
+
+
+# small nested JSON values: the shapes a counts file may take by mistake
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10 ** 20) | st.floats() | st.text("01x", max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text("01", max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def stats_inputs(draw, tmp_path):
+    """A table id (known or not) or a file of one of the kinds a user may
+    pass, written under `tmp_path`."""
+    kind = draw(st.sampled_from(["table", "table", "unknown", "csv", "csv", "json", "json",
+                                 "json_shape", "json_shape", "binary", "text", "empty",
+                                 "directory"]))
+    if kind == "table":
+        return draw(st.sampled_from(tables.table_ids() + ["T1", "t5"]))
+    if kind == "unknown":
+        return draw(st.sampled_from(["t0", "t9", "t10", "", "-", "x"]))
+    if kind == "directory":
+        path = tmp_path / "dir"
+        path.mkdir(exist_ok=True)
+        return str(path)
+    path = tmp_path / "input"
+    if kind == "binary":
+        path.write_bytes(draw(st.binary(max_size=40)))
+        return str(path)
+    width = draw(st.integers(1, 6))
+    outcome = st.text("01", min_size=width, max_size=width)
+    if kind == "csv":
+        rows = draw(st.lists(st.tuples(outcome, st.integers(-2, 10 ** 6)), max_size=6))
+        data = "outcome,count\n" + "".join(f'"{o}",{c}\n' for o, c in rows)
+    elif kind == "json":
+        counts = draw(st.dictionaries(outcome, st.integers(-2, 10 ** 6), max_size=6))
+        total = draw(st.sampled_from([sum(counts.values()), 0, 7, "x"]))
+        data = json.dumps({"total_shots": total, "counts": counts})
+    elif kind == "json_shape":
+        shape = {"counts": draw(_json_values), "total_shots": draw(_json_values)}
+        data = json.dumps({key: shape[key] for key in draw(st.permutations(list(shape)))[
+            :draw(st.integers(0, 2))]})
+    elif kind == "text":
+        data = draw(st.text(max_size=40))
+    else:
+        data = ""
+    path.write_text(data, encoding="utf-8")
+    return str(path)
+
+
+# each option's values: mostly valid, so that the command body is reached
+_stats_options = {
+    "--column": st.sampled_from(["qc", "gt", "QC", "gt", "qc", "x"]),
+    "--classifier": st.sampled_from(["argmax", "decoded", "decoded", "decoded", "mode"]),
+    "--case": st.sampled_from(["c1", "c2", "c3", "C4", "c1", "c9"]),
+    "--errors": st.sampled_from(["", "0", "1,3", "2", "0,0", "-1", "99", "1,x", "0,1,2,3,4"]),
+    "--reference": st.sampled_from(tables.table_ids() + ["T2", "t9", ""]),
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_stats_any_input_exits_0_or_2_without_traceback(tmp_path, data):
+    argv = ["stats", data.draw(stats_inputs(tmp_path))]
+    for option in data.draw(st.lists(st.sampled_from(sorted(_stats_options)), max_size=3)):
+        argv += [option, data.draw(_stats_options[option])]
+    result = CliRunner().invoke(main, argv)
+    assert result.exit_code in (0, 2), (argv, result.output, result.exception)
+    assert result.exception is None or isinstance(result.exception, SystemExit), argv
+    if result.exit_code == 0:
+        assert result.output.startswith("mean: ")
+    else:
+        assert "Error" in result.output and "Traceback" not in result.output
 
 
 def test_stats_unknown_reference_exits_2(runner):

@@ -1,6 +1,8 @@
-"""Kernel tests: the affine shot sampler against the per-shot tableau loop
-(each shot's outcome, and the chunked histogram at every chunk size), the
-one-pass outcome map against its r + 1-pass definition, the vectorised
+"""Kernel tests: the column-major tableau against the row-form reference
+(``row_tableau.RowTableau``) after every gate sequence and every projection,
+the affine shot sampler against the reference's per-shot loop (each shot's
+outcome, and the chunked histogram at every chunk size), the one-pass
+outcome map against its r + 1-pass definition on the reference, the vectorised
 RNG against the scalar streams, and the composition decode sweep against
 the per-pattern k^2 decode loop (random linear codes with repeated, zero
 and all-distinct columns, small chunk sizes so chunk boundaries are
@@ -22,6 +24,7 @@ from qgqec import aqecc, experiments, gf2, sim
 from qgqec.backend import kernels as pure
 from qgqec.cases import CaseId
 from qgqec.rng import ShotStream, first_words
+from row_tableau import RowTableau
 
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -45,10 +48,47 @@ def clifford_ops(draw, max_qubits=64, max_gates=120):
 
 
 def per_shot_reference(n, ops, shots, seed):
-    """The sampler's definition: one tableau copy measured per shot stream."""
-    base = pure.TableauEngine(n)
+    """The sampler's definition: one row-form tableau copy measured per
+    shot stream."""
+    base = RowTableau(n)
     base.apply(ops)
     return [base.copy().measure_all(ShotStream(seed, s)) for s in range(shots)]
+
+
+def as_rows(engine):
+    """The column tableau as the reference's (xs, zs, rs) rows."""
+    n = engine.n
+    xs = [sum((col >> i & 1) << q for q, col in enumerate(engine.xcols)) for i in range(2 * n)]
+    zs = [sum((col >> i & 1) << q for q, col in enumerate(engine.zcols)) for i in range(2 * n)]
+    return xs, zs, [engine.signs >> i & 1 for i in range(2 * n)]
+
+
+@PROPERTY_UNSHRUNK
+@given(clifford_ops())
+def test_column_tableau_equals_row_reference_after_apply(circuit):
+    n, ops = circuit
+    engine, reference = pure.TableauEngine(n), RowTableau(n)
+    engine.apply(ops)
+    reference.apply(ops)
+    assert as_rows(engine) == (reference.xs, reference.zs, reference.rs)
+
+
+@PROPERTY_UNSHRUNK
+@given(clifford_ops(), st.integers(0, (1 << 64) - 1))
+def test_column_tableau_equals_row_reference_after_every_projection(circuit, bits):
+    """A measure pass, each random qubit projected to the next drawn bit:
+    same randomness, same replaced-stabilizer X mask, and the same rows,
+    destabilizer signs included, after every projection."""
+    n, ops = circuit
+    engine, reference = pure.TableauEngine(n), RowTableau(n)
+    engine.apply(ops)
+    reference.apply(ops)
+    for q in range(n):
+        assert engine.is_random(q) == reference.is_random(q)
+        if engine.is_random(q):
+            bit, bits = bits & 1, bits >> 1
+            assert engine.project(q, bit) == reference.project(q, bit)
+            assert as_rows(engine) == (reference.xs, reference.zs, reference.rs)
 
 
 def assert_sampler_matches_reference(n, ops, shots, seed):
@@ -137,12 +177,15 @@ class FixedBits:
         return bit
 
 
-def multi_pass_reference(engine):
-    """The outcome map's definition: measure one copy with every random bit
-    0, then one copy per random measurement i with only bit i set."""
+def multi_pass_reference(n, ops):
+    """The outcome map's definition on the row-form reference: measure one
+    copy with every random bit 0, then one copy per random measurement i
+    with only bit i set."""
+    base = RowTableau(n)
+    base.apply(ops)
     zeros = FixedBits(0)
-    o0 = engine.copy().measure_all(zeros)
-    cols = [engine.copy().measure_all(FixedBits(1 << i)) ^ o0 for i in range(zeros.used)]
+    o0 = base.copy().measure_all(zeros)
+    cols = [base.copy().measure_all(FixedBits(1 << i)) ^ o0 for i in range(zeros.used)]
     return o0, cols
 
 
@@ -152,7 +195,28 @@ def test_outcome_map_equals_multi_pass_definition(circuit):
     n, ops = circuit
     engine = pure.TableauEngine(n)
     engine.apply(ops)
-    assert pure.outcome_map(engine) == multi_pass_reference(engine)
+    assert pure.outcome_map(engine) == multi_pass_reference(n, ops)
+
+
+@st.composite
+def case_circuits(draw):
+    """(n, ops) of a case circuit with 0, P or P + 2 injected errors at
+    drawn positions."""
+    case = draw(st.sampled_from(list(CaseId)))
+    count = draw(st.sampled_from([0, case.capability, case.capability + 2]))
+    positions = draw(st.lists(st.integers(0, case.m_physical - 1), min_size=count,
+                              max_size=count, unique=True))
+    circuit = experiments.build_case_circuit(case, "aqecc", tuple(sorted(positions)))
+    return circuit.num_qubits, sim._clifford_ops(circuit)
+
+
+@PROPERTY_UNSHRUNK
+@given(case_circuits())
+def test_outcome_map_equals_multi_pass_definition_on_case_circuits(circuit):
+    n, ops = circuit
+    engine = pure.TableauEngine(n)
+    engine.apply(ops)
+    assert pure.outcome_map(engine) == multi_pass_reference(n, ops)
 
 
 def test_outcome_map_is_one_copy_and_r_projections():
@@ -160,7 +224,7 @@ def test_outcome_map_is_one_copy_and_r_projections():
     ops = [(0, q, 0) for q in range(n)] + [(3, q, (q + 5) % n) for q in range(0, n, 3)]
     engine = pure.TableauEngine(n)
     engine.apply(ops)
-    expected = multi_pass_reference(engine)
+    expected = multi_pass_reference(n, ops)
     assert len(expected[1]) == 64
     cls = pure.TableauEngine
     with mock.patch.object(cls, "copy", autospec=True, side_effect=cls.copy) as copy, \
@@ -176,9 +240,9 @@ def test_outcome_map_columns_independent_and_engine_unchanged(circuit):
     n, ops = circuit
     engine = pure.TableauEngine(n)
     engine.apply(ops)
-    before = (engine.xs[:], engine.zs[:], engine.rs[:])
+    before = (engine.xcols[:], engine.zcols[:], engine.signs)
     o0, cols = pure.outcome_map(engine)
-    assert (engine.xs, engine.zs, engine.rs) == before
+    assert (engine.xcols, engine.zcols, engine.signs) == before
     # column i flips the qubit of the i-th random measurement and none
     # measured before it, so the columns are independent
     lows = [(col & -col).bit_length() - 1 for col in cols]
@@ -221,6 +285,14 @@ def test_engine_copy_is_independent():
     dup.project(0, 1)
     # original unchanged: still random on qubit 0
     assert eng.is_random(0)
+
+
+def test_unknown_opcode_raises_after_applying_the_gates_before_it():
+    eng, prefix = pure.TableauEngine(2), pure.TableauEngine(2)
+    with pytest.raises(ValueError, match="unknown opcode 5"):
+        eng.apply([(0, 0, 0), (1, 0, 0), (5, 0, 0), (2, 1, 0)])
+    prefix.apply([(0, 0, 0), (1, 0, 0)])
+    assert as_rows(eng) == as_rows(prefix)
 
 
 def test_tableau_qubit_caps():
