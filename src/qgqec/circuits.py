@@ -169,16 +169,16 @@ class Counts:
     @classmethod
     def from_json(cls, text: str) -> "Counts":
         """Read ``to_json`` output; any other shape raises ValueError or
-        KeyError."""
+        KeyError.  Counts and total_shots must be JSON integers: a float, a
+        string or a boolean raises ValueError rather than being coerced."""
         d = json.loads(text)
         if not isinstance(d, dict) or not isinstance(d.get("counts"), dict):
             raise ValueError("counts JSON needs a 'counts' object")
-        try:
-            counts = {str(k): int(v) for k, v in d["counts"].items()}
-            total = int(d["total_shots"])
-        except (TypeError, OverflowError) as exc:
-            raise ValueError(f"counts and total_shots must be integers: {exc}") from None
-        return cls(counts, total)
+        total = d["total_shots"]
+        for value in [*d["counts"].values(), total]:
+            if type(value) is not int:  # bool is an int subclass
+                raise ValueError(f"counts and total_shots must be integers, got {json.dumps(value)}")
+        return cls(dict(d["counts"]), total)
 
     def to_csv(self) -> str:
         lines = ["outcome,count"]

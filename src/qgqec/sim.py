@@ -7,17 +7,22 @@ counts and the exact distribution: 2^r outcomes o0 ^ span(cols), each with
 probability 2^-r.  The dense statevector engine (<= 16 qubits) is the
 exactness oracle and additionally accepts dense 1- and 2-qubit operators.
 It keeps a flat vector of 2^n amplitudes: X, Z, CNOT and CZ move or negate
-amplitudes through strided views of one copy, with no arithmetic, and H and
-dense operators make the single ``np.dot`` that ``np.tensordot`` would make
-on the same operands, so the amplitudes equal those of a
-``tensordot``-per-gate engine bit for bit (up to the sign of zeros).
+amplitudes through strided views of one copy, with no arithmetic.  H and
+dense operators transpose one small view of the vector, (2^q, 2, rest) for
+a qubit q and (2^i, 2, 2^(j-i-1), 2, rest) for qubits i < j, so that the
+gate's qubits come first.  That gives, element for element, the contiguous
+operand that ``np.tensordot`` builds from the (2,) * n tensor, so the one
+``np.dot`` it would make, and the norm that renormalises a dense operator
+(summed in the same memory order), round alike: the amplitudes equal those
+of a ``tensordot``-per-gate engine bit for bit (up to the sign of zeros).
 Both sample measurements from the same counter-based per-shot streams
 (vectorised by ``rng.first_words``), so identical (circuit, shots, seed)
 always yields identical Counts.  Both take shots ``kernels.SHOT_CHUNK`` at a
 time and keep only a histogram across chunks, so memory stays bounded at any
 shot count.  ``tableau_run`` renders one bitstring per distinct outcome,
 inserted in ascending random-bit index order; every serialiser sorts its
-keys, so the order never reaches the output.
+keys, so the order never reaches the output.  ``exact_distribution``, whose
+support may reach 2^16 states, renders all its keys in one numpy pass.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from collections import defaultdict
 import numpy as np
 
 from qgqec.backend import kernels
-from qgqec.circuits import Circuit, Counts
+from qgqec.circuits import Circuit, Counts, Gate
 from qgqec.rng import first_words
 
 STATEVECTOR_QUBIT_CAP = 16
@@ -116,16 +121,30 @@ def _apply_index_gate(state: np.ndarray, name: str, qubits: tuple[int, ...]) -> 
     return out
 
 
-def _apply_matrix(state: np.ndarray, n: int, matrix: np.ndarray, qubits: tuple[int, ...],
+def _apply_matrix(state: np.ndarray, matrix: np.ndarray, qubits: tuple[int, ...],
                   normalise: bool) -> np.ndarray:
-    """The dot that ``np.tensordot`` makes: the gate's axes moved to the front
-    of the (2,) * n view, the rest kept in order, and one ``np.dot`` of the
-    (2^k, 2^k) operator with the (2^k, rest) operand; then the axes moved
-    back.  Same call on the same operands, so the same bits."""
-    k = len(qubits)
-    order = list(qubits) + [q for q in range(n) if q not in qubits]
-    operand = state.reshape((2,) * n).transpose(order).reshape(1 << k, -1)
-    product = np.dot(matrix, operand)
+    """The dot that ``np.tensordot`` makes: the gate's axes moved to the front,
+    the rest kept in order, and one ``np.dot`` of the (2^k, 2^k) operator with
+    the (2^k, rest) operand; then the axes moved back.
+
+    Qubit q is the middle axis of the 3-axis view (2^q, 2, rest), and qubits
+    i < j are axes 1 and 3 of the 5-axis view (2^i, 2, 2^(j-i-1), 2, rest),
+    so one transpose of that view, the gate's axes first in gate order,
+    reshapes to the operand that transposing the (2,) * n tensor gives,
+    element for element.  Same call on the same operands, so the same bits;
+    the inverse permutation moves the axes back."""
+    if len(qubits) == 1:
+        moved = state.reshape(1 << qubits[0], 2, -1).transpose(1, 0, 2)
+        back = (1, 0, 2)
+    else:
+        a, b = qubits
+        i, j = min(a, b), max(a, b)
+        view = state.reshape(1 << i, 2, 1 << (j - i - 1), 2, -1)
+        if a < b:
+            moved, back = view.transpose(1, 3, 0, 2, 4), (2, 0, 3, 1, 4)
+        else:
+            moved, back = view.transpose(3, 1, 0, 2, 4), (2, 1, 3, 0, 4)
+    product = np.dot(matrix, moved.reshape(1 << len(qubits), -1))
     if normalise:
         # norm sums in memory order, which for the product is the order the
         # tensordot engine's moved-axes state had, so the sum rounds alike
@@ -133,7 +152,7 @@ def _apply_matrix(state: np.ndarray, n: int, matrix: np.ndarray, qubits: tuple[i
         if norm == 0.0:
             raise ValueError("state annihilated by a dense operator")
         product = product / norm
-    return product.reshape((2,) * n).transpose(np.argsort(order)).reshape(-1)
+    return product.reshape(moved.shape).transpose(back).reshape(-1)
 
 
 def _final_state(circuit: Circuit) -> np.ndarray:
@@ -147,10 +166,10 @@ def _final_state(circuit: Circuit) -> np.ndarray:
     state[0] = 1.0
     for g in circuit.gates:
         if g.name == "H":
-            state = _apply_matrix(state, n, _H, g.qubits, normalise=False)
+            state = _apply_matrix(state, _H, g.qubits, normalise=False)
         elif g.name == "U":
             matrix = np.ascontiguousarray(g.matrix, dtype=complex)
-            state = _apply_matrix(state, n, matrix, g.qubits, normalise=True)
+            state = _apply_matrix(state, matrix, g.qubits, normalise=True)
         elif g.name in _INDEX_GATES:
             state = _apply_index_gate(state, g.name, g.qubits)
         else:
@@ -159,14 +178,18 @@ def _final_state(circuit: Circuit) -> np.ndarray:
 
 
 def exact_distribution(circuit: Circuit) -> dict[str, float]:
-    """|amplitude|^2 per basis state, pruned below 1e-15."""
+    """|amplitude|^2 per basis state, pruned below 1e-15, in ascending
+    basis-state order.  Keys are rendered for the whole support at once: one
+    row of '0'/'1' bytes per index, qubit 0 leftmost, read as a string."""
     flat = _final_state(circuit)
     n = circuit.num_qubits
     probs = np.abs(flat) ** 2
-    return {
-        format(idx, f"0{n}b"): float(probs[idx])
-        for idx in np.flatnonzero(probs > PROB_PRUNE).tolist()
-    }
+    idx = np.flatnonzero(probs > PROB_PRUNE)
+    # n <= 16: each index as two big-endian bytes unpacks to its 16 bits,
+    # most significant first, of which the last n are qubits 0..n-1
+    bits = np.unpackbits(idx.astype(">u2").view(np.uint8)).reshape(-1, 16)
+    keys = (bits[:, 16 - n:] | ord("0")).view(f"S{n}").ravel().astype(f"U{n}").tolist()
+    return dict(zip(keys, probs[idx].tolist()))
 
 
 def statevector_run(circuit: Circuit, shots: int, seed: int) -> Counts:
@@ -200,17 +223,26 @@ def statevector_run(circuit: Circuit, shots: int, seed: int) -> Counts:
 
 
 def random_clifford_circuit(num_qubits: int, num_gates: int, seed: int) -> Circuit:
+    """Uniform gate names over H, X, Z (and CNOT, CZ from 2 qubits), uniform
+    qubits.  A pair is drawn as a = randrange(n), then j = randrange(n - 1)
+    with b = j, or n - 1 where j == a: the draws ``rnd.sample(range(n), 2)``
+    makes for n <= 21, so those circuits are the ones it gave (wider
+    registers, which ``backends-check`` never draws, get other, equally
+    uniform pairs).  Drawn qubits are in range and distinct by construction,
+    so gates go straight onto the list."""
     rnd = random.Random(seed)
-    c = Circuit(num_qubits)
-    one_q = ["H", "X", "Z"]
-    names = one_q + (["CNOT", "CZ"] if num_qubits >= 2 else [])
+    n = num_qubits
+    c = Circuit(n)
+    names = ["H", "X", "Z"] + (["CNOT", "CZ"] if n >= 2 else [])
+    gates = c.gates
     for _ in range(num_gates):
         name = rnd.choice(names)
+        a = rnd.randrange(n)
         if name in ("CNOT", "CZ"):
-            a, b = rnd.sample(range(num_qubits), 2)
-            getattr(c, name.lower())(a, b)
+            j = rnd.randrange(n - 1)
+            gates.append(Gate(name, (a, n - 1 if j == a else j)))
         else:
-            getattr(c, name.lower())(rnd.randrange(num_qubits))
+            gates.append(Gate(name, (a,)))
     return c
 
 

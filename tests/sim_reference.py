@@ -1,0 +1,40 @@
+"""Plain reference copies of two ``qgqec.sim`` functions, which the faster
+ones are checked against.
+
+``random_clifford_circuit_reference`` builds each gate through the
+``Circuit`` methods (range and distinctness checked per gate) and draws each
+qubit pair with ``rnd.sample``.  ``exact_distribution_reference`` renders
+one key per support index with ``format``.
+"""
+
+import random
+
+import numpy as np
+
+from qgqec import sim
+from qgqec.circuits import Circuit
+
+
+def random_clifford_circuit_reference(num_qubits: int, num_gates: int, seed: int) -> Circuit:
+    rnd = random.Random(seed)
+    c = Circuit(num_qubits)
+    one_q = ["H", "X", "Z"]
+    names = one_q + (["CNOT", "CZ"] if num_qubits >= 2 else [])
+    for _ in range(num_gates):
+        name = rnd.choice(names)
+        if name in ("CNOT", "CZ"):
+            a, b = rnd.sample(range(num_qubits), 2)
+            getattr(c, name.lower())(a, b)
+        else:
+            getattr(c, name.lower())(rnd.randrange(num_qubits))
+    return c
+
+
+def exact_distribution_reference(circuit: Circuit) -> dict[str, float]:
+    flat = sim._final_state(circuit)
+    n = circuit.num_qubits
+    probs = np.abs(flat) ** 2
+    return {
+        format(idx, f"0{n}b"): float(probs[idx])
+        for idx in np.flatnonzero(probs > sim.PROB_PRUNE).tolist()
+    }

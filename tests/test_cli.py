@@ -309,6 +309,31 @@ def test_stats_negative_counts_exit_2(runner, tmp_path, text):
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("text, shown", [
+    ('{"counts": {"00": 2.7, "01": 1.2}, "total_shots": 3}', "2.7"),
+    ('{"counts": {"00": true, "01": 2}, "total_shots": 3}', "true"),
+    ('{"counts": {"00": 1, "01": "2"}, "total_shots": 3}', '"2"'),
+    ('{"counts": {"00": 1, "01": 2}, "total_shots": 3.0}', "3.0"),
+])
+def test_stats_json_counts_must_be_integers(runner, tmp_path, text, shown):
+    """JSON counts are not coerced: 2.7 is not read as 2, nor true as 1."""
+    path = tmp_path / "counts.json"
+    path.write_text(text)
+    result = runner.invoke(main, ["stats", str(path)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert f"counts and total_shots must be integers, got {shown}" in result.output
+    assert "Traceback" not in result.output
+
+
+def test_stats_json_integer_counts_exit_0(runner, tmp_path):
+    path = tmp_path / "counts.json"
+    path.write_text('{"counts": {"00": 2, "01": 1}, "total_shots": 3}')
+    result = invoke(runner, ["stats", str(path)])
+    assert result.exit_code == 0
+    assert result.output.splitlines()[-2:] == ["num_outcomes: 2", "total_counts: 3"]
+
+
 @pytest.mark.parametrize("kind", ["binary", "directory"])
 def test_stats_unreadable_input_exits_2(runner, tmp_path, kind):
     if kind == "binary":
@@ -437,3 +462,72 @@ def test_backends_check_out_of_range_exits_2(runner, flag, value):
     assert result.exit_code == 2
     assert f"Invalid value for '{flag}'" in result.output
     assert "backends agree" not in result.output
+
+
+# the range click's IntRange gives each option (None: unbounded), and the
+# valid values drawn for it, small enough to run
+_BACKENDS_CHECK_OPTIONS = {
+    "--circuits": ((0, None), st.integers(0, 5)),
+    "--max-qubits": ((1, 16), st.integers(1, 16)),
+    "--max-gates": ((1, None), st.integers(1, 30)),
+    "--seed": ((None, None), st.integers(-(1 << 70), 1 << 70)),
+}
+
+
+def _click_int(text, low, high):
+    """The value click takes from `text` for an int option in low..high, or
+    None where it exits 2 (click reads ints with Python's int())."""
+    try:
+        value = int(text)
+    except ValueError:
+        return None
+    if (low is not None and value < low) or (high is not None and value > high):
+        return None
+    return value
+
+
+@st.composite
+def backends_check_argvs(draw):
+    """(argv, valid, circuits) for `backends-check`: each option absent, given
+    once or repeated (the last one counts), with small valid, boundary,
+    negative, huge and non-integer values.  When every value is valid the run
+    is kept small by a last --circuits in 0..5 and --max-gates in 1..30, so a
+    huge valid value is never run."""
+    argv = ["backends-check"]
+    last = {}
+    for option in draw(st.lists(st.sampled_from(sorted(_BACKENDS_CHECK_OPTIONS)), max_size=6)):
+        text = draw({
+            "valid": _BACKENDS_CHECK_OPTIONS[option][1].map(str),
+            "boundary": st.sampled_from(["0", "1", "16", "17"]),
+            "negative": st.integers(-(10 ** 30), -1).map(str),
+            "huge": st.integers(10 ** 6, 10 ** 30).map(str),
+            "text": st.sampled_from(["", "1.5", "two", "0x3", "2e1", "nan", " 3", "+2", "1_0"]),
+        }[draw(st.sampled_from(["valid", "valid", "valid", "valid",
+                                "boundary", "negative", "huge", "text"]))])
+        argv += [option, text]
+        last[option] = text
+    parsed = {option: _click_int(text, *_BACKENDS_CHECK_OPTIONS[option][0])
+              for option, text in last.items()}
+    valid = None not in parsed.values()
+    circuits = parsed.get("--circuits", 200)
+    if valid and circuits > 5:
+        circuits = draw(st.integers(1, 5))
+        argv += ["--circuits", str(circuits)]
+    if valid and parsed.get("--max-gates", 40) > 30:
+        argv += ["--max-gates", str(draw(st.integers(1, 30)))]
+    return argv, valid, circuits
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(backends_check_argvs())
+def test_backends_check_any_input_exits_0_or_2_without_traceback(drawn):
+    argv, valid, circuits = drawn
+    result = CliRunner().invoke(main, argv)
+    assert result.exit_code == (0 if valid else 2), (argv, result.output)
+    assert result.exception is None or isinstance(result.exception, SystemExit), argv
+    assert "Traceback" not in result.output
+    if result.exit_code == 0:
+        assert f"\n{circuits} circuits, worst total variation " in result.output
+        assert result.output.endswith("backends agree\n")
+    else:
+        assert "Error" in result.output and "backends agree" not in result.output

@@ -1,6 +1,7 @@
 """Simulator tests: sampling, exact distributions, cross-validation, formats."""
 
 import math
+import random
 import tracemalloc
 from unittest import mock
 
@@ -14,6 +15,7 @@ from qgqec._kernels_py import TableauEngine, outcome_map
 from qgqec.backend import kernels
 from qgqec.circuits import Circuit, Counts, parse_circuit
 from qgqec.rng import ShotStream
+from sim_reference import exact_distribution_reference, random_clifford_circuit_reference
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -240,15 +242,49 @@ def test_statevector_run_any_chunk_size_gives_one_histogram(n, gates, circuit_se
 
 
 @PROPERTY
-@given(st.integers(1, 8), st.integers(0, 40), st.integers(0, 1 << 62), st.none() | st.floats(-0.9, 0.9))
+@given(st.integers(1, 16), st.integers(0, 80), st.integers(0, 1 << 62),
+       st.none() | st.floats(-0.9, 0.9))
 def test_exact_distribution_equals_full_amplitude_scan(n, gates, circuit_seed, epsilon):
     circuit = sim.random_clifford_circuit(n, gates, circuit_seed)
     if epsilon is not None and n >= 2:
         circuit.unitary(groups.cz_epsilon(epsilon, "formula"), (0, n - 1))
-    probs = np.abs(sim._final_state(circuit).reshape(-1)) ** 2
-    scan = {format(i, f"0{n}b"): float(p) for i, p in enumerate(probs) if p > sim.PROB_PRUNE}
     dist = sim.exact_distribution(circuit)
-    assert list(dist.items()) == list(scan.items())
+    assert list(dist.items()) == list(exact_distribution_reference(circuit).items())
+    assert all(type(p) is float for p in dist.values())
+
+
+def test_exact_distribution_full_16_qubit_support_equals_format_per_index_renderer():
+    """All-H on 16 qubits: the largest support the dense engine can have."""
+    circuit = Circuit(16)
+    for q in range(16):
+        circuit.h(q)
+    dist = sim.exact_distribution(circuit)
+    assert len(dist) == 1 << 16
+    assert list(dist.items()) == list(exact_distribution_reference(circuit).items())
+    assert all(type(p) is float for p in dist.values())
+
+
+@PROPERTY
+@given(st.integers(1, 16), st.integers(0, 120), st.integers(-(1 << 70), 1 << 70))
+def test_random_clifford_circuit_equals_sample_based_generator(n, gates, seed):
+    circuit = sim.random_clifford_circuit(n, gates, seed)
+    reference = random_clifford_circuit_reference(n, gates, seed)
+    assert circuit.num_qubits == n
+    assert circuit.gates == reference.gates
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_two_randrange_pair_is_the_pair_sample_draws(n):
+    """``random_clifford_circuit`` draws a qubit pair as a = randrange(n),
+    then j = randrange(n - 1) with b = j, or n - 1 where j == a.  That is how
+    ``Random.sample`` picks 2 of at most 21 items; should a Python release
+    change it, the generator's circuits change with it, and this test fails."""
+    for seed in range(200):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        a = ours.randrange(n)
+        j = ours.randrange(n - 1)
+        assert (a, n - 1 if j == a else j) == tuple(theirs.sample(range(n), 2))
+        assert ours.getstate() == theirs.getstate()
 
 
 _REFERENCE_MATRICES = {
