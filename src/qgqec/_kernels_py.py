@@ -27,15 +27,16 @@ the codewords themselves, re-indexed.  Those depend only on how many flips
 land on each column type (the positions one set of codewords covers), so
 ``sweep_weight`` decodes each composition of the weight over the types once
 and counts it for every pattern it stands for, as in the split weight
-enumerators of MacWilliams & Sloane.  Compositions come in chunks of at most
-``SWEEP_CHUNK``, so memory stays bounded at any weight; with every column
-distinct they are the patterns themselves.
+enumerators of MacWilliams & Sloane.  All compositions of all weights form
+one table per code, built on first use; each weight decodes its slice.  A
+code whose table times its k codewords would pass ``SWEEP_CELLS`` cells is
+refused, so memory stays bounded (every preset needs under 10,000).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from math import comb
+from math import comb, prod
 from operator import mul
 
 import numpy as np
@@ -49,9 +50,9 @@ MAX_TABLEAU_QUBITS = 64
 # shots per sampling chunk: bounds the sampler's per-chunk arrays (about
 # 0.5 MB each) at any shot count
 SHOT_CHUNK = 65536
-# compositions per sweep chunk: bounds the sweep's arrays at any weight and
-# any code (with every column distinct, one composition is one pattern)
-SWEEP_CHUNK = 4096
+# compositions times codewords a sweep table may hold: bounds the sweep's
+# arrays (every preset needs at most 9,216); larger codes are refused
+SWEEP_CELLS = 1 << 20
 
 OP_H, OP_X, OP_Z, OP_CNOT, OP_CZ = 0, 1, 2, 3, 4
 
@@ -203,9 +204,10 @@ def outcomes_of(o0: int, cols: list[int], indices: np.ndarray) -> np.ndarray:
     columns.  Independent columns make the map one-to-one."""
     out = np.full(len(indices), o0, dtype=np.uint64)
     for lo in range(0, len(cols), 8):
-        table = np.zeros(1, dtype=np.uint64)
-        for col in cols[lo:lo + 8]:
-            table = np.concatenate([table, table ^ np.uint64(col)])
+        group = cols[lo:lo + 8]
+        table = np.zeros(1 << len(group), dtype=np.uint64)
+        for j, col in enumerate(group):
+            np.bitwise_xor(table[:1 << j], col, out=table[1 << j:2 << j])
         out ^= table[(indices >> np.uint64(lo)) & np.uint64(len(table) - 1)]
     return out
 
@@ -268,11 +270,10 @@ def _check_linear(m: int, cws: tuple[int, ...]) -> None:
             raise ValueError(f"codeword {l} is not the XOR of its basis words")
 
 
-@lru_cache(maxsize=8)
 def _column_types(m: int, cws: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(sizes, covers): type i is the sizes[i] positions whose column (bit b
     = the position's bit in cws[2^b]) is covers[i]; codeword t covers them
-    iff t & covers[i] has odd weight.  Built per code on first use."""
+    iff t & covers[i] has odd weight."""
     _check_linear(m, cws)
     basis = [cws[1 << b] for b in range(len(cws).bit_length() - 1)]
     columns: dict[int, int] = {}
@@ -284,26 +285,21 @@ def _column_types(m: int, cws: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[
 
 
 @lru_cache(maxsize=8)
-def _cover_block(sizes: tuple[int, ...], covers: tuple[int, ...], lo: int, hi: int):
-    """(flips, base, starts, b_lo) for codewords lo..hi-1: compositions `rows`
-    have D[t] - weight = (rows @ flips + base)[t - lo], flips[i] being -2 and
-    base summing sizes[i] where t covers type i; the t of top bit b_lo + j
-    start at column starts[j]."""
-    t = np.arange(lo, hi, dtype=np.int64)
-    covered = (np.bitwise_count(np.array(covers, dtype=np.int64)[:, None] & t) & 1).astype(np.int16)
-    flips = -2 * covered
-    base = np.array(sizes, dtype=np.int16) @ covered
-    flips.flags.writeable = base.flags.writeable = False
-    b_lo = lo.bit_length() - 1
-    starts = [0] + [(1 << b) - lo for b in range(b_lo + 1, (hi - 1).bit_length())]
-    return flips, base, starts, b_lo
-
-
-@lru_cache(maxsize=64)
-def _composition_table(sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """(rows, mults, starts): all prod(sizes[i] + 1) compositions over types of
-    these sizes with their multiplicities, rows[starts[w]:starts[w + 1]]
-    those of weight w."""
+def _sweep_table(m: int, cws: tuple[int, ...]):
+    """(rows, mults, weight_starts, flips, base, top_starts) of a linear
+    code, built on first use.  rows are all prod(m_i + 1) compositions over
+    the column types (``_column_types``) sorted by weight, those of weight w
+    at rows[weight_starts[w]:weight_starts[w + 1]], and mults[r] = prod
+    C(m_i, w_i) the patterns each stands for.  Composition r has D[t] -
+    weight = (rows[r] @ flips + base)[t - 1] for codewords t = 1..k-1,
+    flips[i] being -2 and base summing m_i where t covers type i; the t of
+    top bit b start at column top_starts[b].  A code of more than
+    ``SWEEP_CELLS`` compositions times k is refused before anything is
+    built."""
+    sizes, covers = _column_types(m, cws)
+    k = len(cws)
+    if prod(s + 1 for s in sizes) * k > SWEEP_CELLS:
+        raise ValueError(f"sweep supports at most {SWEEP_CELLS} compositions times codewords")
     grid = np.indices([s + 1 for s in sizes], dtype=np.int16).reshape(len(sizes), -1).T
     weights = grid.sum(axis=1)
     order = np.argsort(weights, kind="stable")
@@ -311,50 +307,14 @@ def _composition_table(sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, 
     mults = reduce(np.multiply.outer, [np.array([comb(s, j) for j in range(s + 1)], dtype=np.int64)
                                        for s in sizes]).ravel()
     rows, mults = grid[order], mults[order]
-    rows.flags.writeable = mults.flags.writeable = False  # chunks are views of them
-    return rows, mults, [0] + np.cumsum(np.bincount(weights)).tolist()
-
-
-def _compositions(sizes: tuple[int, ...], weight: int, limit: int):
-    """Every composition (w_1..w_T) of `weight` with 0 <= w_i <= sizes[i]
-    once, as (rows, mults) chunks of at most `limit` rows; mults[r] =
-    prod C(sizes[i], w_i) is the number of error patterns it stands for.
-
-    The longest suffix of types with prod(sizes[i] + 1) <= `limit` (at least
-    one type) is one ``_composition_table``; the types before it recurse in
-    chunks small enough that each, joined with the tail rows of the
-    remaining weight, fits in `limit` rows, and joined blocks are packed up
-    to `limit` rows.
-    """
-    split, span = len(sizes) - 1, sizes[-1] + 1
-    while split and span * (sizes[split - 1] + 1) <= limit:
-        split -= 1
-        span *= sizes[split] + 1
-    rows, mults, starts = _composition_table(sizes[split:])
-    if not split:
-        yield rows[starts[weight]:starts[weight + 1]], mults[starts[weight]:starts[weight + 1]]
-        return
-    head, pieces, held = sizes[:split], [], 0
-    for tail_weight in range(max(0, weight - sum(head)), min(weight, len(starts) - 2) + 1):
-        lo, hi = starts[tail_weight], starts[tail_weight + 1]
-        head_limit = max(1, limit // (hi - lo))
-        for first, first_mults in _compositions(head, weight - tail_weight, head_limit):
-            if held + len(first) * (hi - lo) > limit:
-                yield _stacked(pieces)
-                pieces, held = [], 0
-            block = np.empty((len(first), hi - lo, len(sizes)), dtype=np.int16)
-            block[:, :, :split] = first[:, None]
-            block[:, :, split:] = rows[lo:hi]
-            joined_mults = (first_mults[:, None] * mults[lo:hi]).ravel()
-            pieces.append((block.reshape(-1, len(sizes)), joined_mults))
-            held += len(first) * (hi - lo)
-    if pieces:
-        yield _stacked(pieces)
-
-
-def _stacked(pieces):
-    rows, mults = zip(*pieces)
-    return np.concatenate(rows), np.concatenate(mults)
+    t = np.arange(1, k, dtype=np.int64)
+    covered = (np.bitwise_count(np.array(covers, dtype=np.int64)[:, None] & t) & 1).astype(np.int16)
+    flips = -2 * covered
+    base = np.array(sizes, dtype=np.int16) @ covered
+    for array in (rows, mults, flips, base):
+        array.flags.writeable = False
+    return (rows, mults, (0, *np.cumsum(np.bincount(weights)).tolist()), flips, base,
+            tuple((1 << b) - 1 for b in range(k.bit_length() - 1)))
 
 
 def sweep_weight(m: int, codewords, weight: int) -> tuple[int, int]:
@@ -374,36 +334,26 @@ def sweep_weight(m: int, codewords, weight: int) -> tuple[int, int]:
 
     D depends only on the composition (w_1..w_T) of e over the column types
     (``_column_types``): D[t] - weight = sum_i (m_i - 2 w_i) [t covers type
-    i], one small integer matmul per chunk of ``_compositions``.  The rule
-    is applied once per composition, weighted by its prod C(m_i, w_i)
+    i], one small integer matmul over the weight's rows of the code's
+    ``_sweep_table``, then one ``np.minimum.reduceat`` for every M_b.  The
+    rule is applied once per composition, weighted by its prod C(m_i, w_i)
     patterns.  Each factor is 0 or 2^j, so multiplicities are summed per
     factor (each sum at most C(m, weight) < 2^63) into exact Python ints.
-    A chunk holds at most ``SWEEP_CHUNK`` compositions, and its distances
-    are taken max(T, SWEEP_CHUNK / rows) codewords at a time, no more cells
-    than the chunk or SWEEP_CHUNK, so memory is bounded at any weight and k.
+    Every array is at most the table's prod(m_i + 1) x k cells, which
+    ``SWEEP_CELLS`` bounds.
     """
     if weight < 1 or weight > m:
         return 0, 0
     if m > 64:
         raise ValueError("sweep supports at most 64 physical bits")
     cws = tuple(codewords)
-    sizes, covers = _column_types(m, cws)
-    k, limit = len(cws), SWEEP_CHUNK
-    top_bits = k.bit_length() - 1
-    # factor 0 (not corrected) and each power of two 2^0..2^top_bits
-    factors = [0] + [1 << j for j in range(top_bits + 1)]
-    per_factor = [0] * len(factors)
-    for rows, mults in _compositions(sizes, weight, limit):
-        least = np.empty((len(rows), top_bits), dtype=np.int16)  # M_b - weight
-        least.fill(m + 1)
-        width = max(len(sizes), limit // len(rows))
-        for lo in range(1, k, width):
-            flips, base, starts, b_lo = _cover_block(sizes, covers, lo, min(lo + width, k))
-            runs = least[:, b_lo:b_lo + len(starts)]
-            np.minimum(runs, np.minimum.reduceat(rows @ flips + base, starts, axis=1), out=runs)
-        # prod_b ([M_b >= weight] + [M_b > weight]), then the multiplicity
-        # of each factor: every sum is at most C(m, weight) < 2^63
-        factor = np.multiply.reduce(np.sign(least) + 1, axis=1, dtype=np.int64)
-        sums = mults @ (factor[:, None] == np.array(factors))
-        per_factor = [a + b for a, b in zip(per_factor, sums.tolist())]
-    return sum(per_factor) * k, sum(map(mul, per_factor, factors))
+    rows, mults, weight_starts, flips, base, top_starts = _sweep_table(m, cws)
+    lo, hi = weight_starts[weight], weight_starts[weight + 1]
+    # M_b - weight, then prod_b ([M_b >= weight] + [M_b > weight])
+    least = np.minimum.reduceat(rows[lo:hi] @ flips + base, top_starts, axis=1)
+    factor = np.multiply.reduce(np.sign(least) + 1, axis=1, dtype=np.int64)
+    # factor 0 (not corrected) and each power of two 2^0..2^(top bits); the
+    # multiplicity of each factor is at most C(m, weight) < 2^63
+    factors = [0] + [1 << j for j in range(len(top_starts) + 1)]
+    per_factor = (mults[lo:hi] @ (factor[:, None] == np.array(factors))).tolist()
+    return sum(per_factor) * len(cws), sum(map(mul, per_factor, factors))

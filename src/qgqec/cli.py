@@ -42,6 +42,13 @@ def _parse_errors(text: str | None) -> tuple[int, ...]:
         raise click.UsageError(f"--errors must be a comma list of integers, got {text!r}")
 
 
+def _path_given(ctx, param, value: str | None) -> str | None:
+    """An output path option: absent, or a non-empty path."""
+    if value == "":
+        raise click.BadParameter("must not be empty")
+    return value
+
+
 def _write_output(path: str | None, payload: str) -> None:
     if path is None:
         click.echo(payload, nl=not payload.endswith("\n"))
@@ -63,9 +70,11 @@ def main():
 @click.option("--shots", type=int, default=1024, show_default=True)
 @_seed_option
 @click.option("--errors", "errors_text", default=None, help="Comma list of error positions, e.g. 0,1,2.")
-@click.option("--out", "out_path", default=None, help="Report file (stdout when omitted).")
+@click.option("--out", "out_path", default=None, callback=_path_given,
+              help="Report file (stdout when omitted).")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
-@click.option("--emit-barchart", "barchart_path", default=None, help="Write outcome,count CSV sorted by count.")
+@click.option("--emit-barchart", "barchart_path", default=None, callback=_path_given,
+              help="Write outcome,count CSV sorted by count.")
 def run(case_name, family, shots, seed, errors_text, out_path, fmt, barchart_path):
     """Encode, inject errors, simulate, decode, and report one case."""
     errors = _parse_errors(errors_text)
@@ -91,7 +100,8 @@ def run(case_name, family, shots, seed, errors_text, out_path, fmt, barchart_pat
 @click.option("--max-weight", type=int, default=None, help="Defaults to the case capability P.")
 @click.option("--threads", type=int, default=None,
               help="Accepted for compatibility; the sweep runs on one thread.")
-@click.option("--out", "out_path", default=None, help="Optional JSON summary file.")
+@click.option("--out", "out_path", default=None, callback=_path_given,
+              help="Optional JSON summary file.")
 def sweep(case_name, max_weight, threads, out_path):
     """Exhaustively decode every error pattern up to a weight."""
     case = CaseId.parse(case_name)
@@ -209,7 +219,8 @@ def stats_cmd(input_ref, classifier, reference_id, column, case_name, errors_tex
 
 @main.command(name="export-code")
 @click.option("--case", "case_name", type=CASE_CHOICES, required=True)
-@click.option("--out", "out_path", default=None, help="Output file (stdout when omitted).")
+@click.option("--out", "out_path", default=None, callback=_path_given,
+              help="Output file (stdout when omitted).")
 def export_code(case_name, out_path):
     """Write the quasi-cyclic code for a case as JSON."""
     code = aqecc.build_qc_code(CaseId.parse(case_name))

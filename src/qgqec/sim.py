@@ -6,15 +6,16 @@ measurement bits (``kernels.outcome_map``), which gives both the sampled
 counts and the exact distribution: 2^r outcomes o0 ^ span(cols), each with
 probability 2^-r.  The dense statevector engine (<= 16 qubits) is the
 exactness oracle and additionally accepts dense 1- and 2-qubit operators.
-It keeps a flat vector of 2^n amplitudes: X, Z, CNOT and CZ move or negate
-amplitudes through strided views of one copy, with no arithmetic.  H and
-dense operators transpose one small view of the vector, (2^q, 2, rest) for
-a qubit q and (2^i, 2, 2^(j-i-1), 2, rest) for qubits i < j, so that the
-gate's qubits come first.  That gives, element for element, the contiguous
-operand that ``np.tensordot`` builds from the (2,) * n tensor, so the one
-``np.dot`` it would make, and the norm that renormalises a dense operator
-(summed in the same memory order), round alike: the amplitudes equal those
-of a ``tensordot``-per-gate engine bit for bit (up to the sign of zeros).
+It keeps a flat vector of 2^n amplitudes: X and CNOT move amplitudes into
+one copy, Z and CZ negate them in place, through strided views and with no
+arithmetic.  H and dense operators transpose one small view of the vector,
+(2^q, 2, rest) for a qubit q and (2^i, 2, 2^(j-i-1), 2, rest) for qubits
+i < j, so that the gate's qubits come first.  That gives, element for
+element, the contiguous operand that ``np.tensordot`` builds from the
+(2,) * n tensor, so the one ``np.dot`` it would make, and the norm that
+renormalises a dense operator (summed in the same memory order), round
+alike: the amplitudes equal those of a ``tensordot``-per-gate engine bit
+for bit (up to the sign of zeros).
 Both sample measurements from the same counter-based per-shot streams
 (vectorised by ``rng.first_words``), so identical (circuit, shots, seed)
 always yields identical Counts.  Both take shots ``kernels.SHOT_CHUNK`` at a
@@ -28,7 +29,6 @@ support may reach 2^16 states, renders all its keys in one numpy pass.
 from __future__ import annotations
 
 import random
-from collections import defaultdict
 
 import numpy as np
 
@@ -39,7 +39,8 @@ from qgqec.rng import first_words
 STATEVECTOR_QUBIT_CAP = 16
 PROB_PRUNE = 1e-15
 
-_OPCODE = {"H": 0, "X": 1, "Z": 2, "CNOT": 3, "CZ": 4}
+_OPCODE = {"H": kernels.OP_H, "X": kernels.OP_X, "Z": kernels.OP_Z,
+           "CNOT": kernels.OP_CNOT, "CZ": kernels.OP_CZ}
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 _INDEX_GATES = ("X", "Z", "CNOT", "CZ")
@@ -74,47 +75,46 @@ def tableau_run(circuit: Circuit, shots: int, seed: int) -> Counts:
 def tableau_distribution(circuit: Circuit) -> dict[str, float]:
     """Analytic outcome probabilities from the tableau's outcome map.
 
-    The support is o0 ^ span(cols), 2^r outcomes of probability 2^-r each,
-    so the result is exact (dyadic) in floating point.
+    The support is o0 ^ span(cols), 2^r distinct outcomes of probability
+    2^-r each (``kernels.outcomes_of`` of every random-bit index), so the
+    result is exact (dyadic) in floating point.
     """
     ops = _clifford_ops(circuit)
     n = circuit.num_qubits
     root = kernels.TableauEngine(n)
     root.apply(ops)
     o0, cols = kernels.outcome_map(root)
-    support = [o0]
-    for col in cols:
-        support += [out ^ col for out in support]
+    support = kernels.outcomes_of(o0, cols, np.arange(1 << len(cols), dtype=np.uint64))
     prob = 0.5 ** len(cols)
-    dist: dict[str, float] = defaultdict(float)
-    for out in support:
-        dist[_render(out, n)] += prob
-    return dict(dist)
+    return {_render(out, n): prob for out in support.tolist()}
 
 
 # -- dense statevector ------------------------------------------------------
 
 
 def _apply_index_gate(state: np.ndarray, name: str, qubits: tuple[int, ...]) -> np.ndarray:
-    """X, Z, CNOT or CZ on the flat state: amplitudes moved or negated in one
-    copy, with no arithmetic.  Qubit q is axis q of the (2,) * n view, so it
-    is the middle axis of the (2^q, 2, rest) view."""
+    """X, Z, CNOT or CZ on the flat state, with no arithmetic: X and CNOT
+    move amplitudes into one copy, Z and CZ negate them in `state` itself.
+    Qubit q is axis q of the (2,) * n view, so it is the middle axis of the
+    (2^q, 2, rest) view."""
     if name == "X":
         # copy(): at n = 1 the reshape alone returns a reversed view, and
         # np.abs rounds differently on strided input
         return state.reshape(1 << qubits[0], 2, -1)[:, ::-1].copy().reshape(-1)
-    out = state.copy()
     if name == "Z":
-        view = out.reshape(1 << qubits[0], 2, -1)[:, 1]
+        view = state.reshape(1 << qubits[0], 2, -1)[:, 1]
         np.negative(view, out=view)
-        return out
+        return state
     a, b = qubits
     i, j = min(a, b), max(a, b)
     shape = (1 << i, 2, 1 << (j - i - 1), 2, -1)
-    view = out.reshape(shape)
     if name == "CZ":
-        np.negative(view[:, 1, :, 1], out=view[:, 1, :, 1])
-    elif a < b:  # CNOT, control on the outer axis
+        view = state.reshape(shape)[:, 1, :, 1]
+        np.negative(view, out=view)
+        return state
+    out = state.copy()
+    view = out.reshape(shape)
+    if a < b:  # CNOT, control on the outer axis
         view[:, 1] = state.reshape(shape)[:, 1, :, ::-1]
     else:
         view[:, :, :, 1] = state.reshape(shape)[:, ::-1, :, 1]
@@ -156,7 +156,8 @@ def _apply_matrix(state: np.ndarray, matrix: np.ndarray, qubits: tuple[int, ...]
 
 
 def _final_state(circuit: Circuit) -> np.ndarray:
-    """Flat amplitude vector; qubit 0 is the most significant index bit."""
+    """Flat amplitude vector; qubit 0 is the most significant index bit.
+    The vector is this function's own, so gates may overwrite it."""
     n = circuit.num_qubits
     if n > STATEVECTOR_QUBIT_CAP:
         raise ValueError(

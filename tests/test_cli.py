@@ -62,6 +62,19 @@ def test_run_unwritable_path_exits_1(runner):
     assert "cannot write" in result.output
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--case", "c1", "--out", ""],
+    ["run", "--case", "c1", "--emit-barchart", ""],
+    ["sweep", "--case", "c1", "--out", ""],
+    ["export-code", "--case", "c1", "--out", ""],
+])
+def test_empty_output_path_exits_2(runner, argv):
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert f"Invalid value for '{argv[-2]}': must not be empty" in result.output
+
+
 def test_run_csv_format_and_barchart(runner, tmp_path):
     out = tmp_path / "counts.csv"
     chart = tmp_path / "chart.csv"
@@ -531,3 +544,78 @@ def test_backends_check_any_input_exits_0_or_2_without_traceback(drawn):
         assert result.output.endswith("backends agree\n")
     else:
         assert "Error" in result.output and "backends agree" not in result.output
+
+
+def _path_values(tmp_path):
+    """(kind, text) of an output path: empty, a file under `tmp_path`, or a
+    directory, which cannot be written as a file."""
+    directory = tmp_path / "out-dir"
+    directory.mkdir(exist_ok=True)
+    return st.sampled_from([("empty", ""), ("file", str(tmp_path / "out.txt")),
+                            ("file", str(tmp_path / "chart.csv")), ("directory", str(directory))])
+
+
+# values of each `run` option: mostly valid, so that the command body is reached
+_run_options = {
+    "--family": st.sampled_from(["aqecc", "qoccc", "aqecc", "qoccc", "AQECC", "x"]),
+    "--format": st.sampled_from(["json", "csv", "json", "csv", "xml"]),
+    "--shots": st.one_of(
+        st.integers(1, 4096).map(str), st.integers(1, 4096).map(str),
+        st.sampled_from(["0", "1.5", "two", "", "1e3", "0x10"]),
+        st.integers(-(10 ** 30), -1).map(str),
+        st.integers(10 ** 6, 10 ** 30).map(lambda v: f"-{v}"),
+    ),
+    "--errors": st.one_of(
+        st.lists(st.integers(-2, 32), max_size=5).map(lambda ps: ",".join(map(str, ps))),
+        st.lists(st.integers(0, 3), min_size=2, max_size=4).map(lambda ps: f"{ps[0]},{ps[0]},"
+                                                                        + ",".join(map(str, ps))),
+        st.sampled_from(["", ",", "1,x", "1.5", "0, 1", "-1", "99"]),
+    ),
+    "--seed": st.one_of(st.integers(-(1 << 70), 1 << 70).map(str), st.sampled_from(["", "x", "1.0"])),
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_run_any_input_exits_0_1_or_2_without_traceback(tmp_path, data):
+    """Exit 1 only for a path that cannot be written, and exit 2 for any
+    empty path; --shots is drawn at most 4096 when valid, so a huge value is
+    never run."""
+    argv = ["run", "--case", data.draw(st.sampled_from(["c1", "c2", "c3", "c4", "C2", "c9"]))]
+    for option in data.draw(st.lists(st.sampled_from(sorted(_run_options)), max_size=5)):
+        argv += [option, data.draw(_run_options[option])]
+    paths = {}
+    for option in data.draw(st.lists(st.sampled_from(["--out", "--emit-barchart"]), max_size=3)):
+        paths[option], text = data.draw(_path_values(tmp_path))
+        argv += [option, text]
+    result = CliRunner().invoke(main, argv)
+    assert result.exit_code in (0, 1, 2), (argv, result.output, result.exception)
+    assert result.exception is None or isinstance(result.exception, SystemExit), argv
+    assert "Traceback" not in result.output
+    if "empty" in paths.values():
+        assert result.exit_code == 2, argv
+    if result.exit_code == 1:
+        assert "directory" in paths.values(), argv
+        assert "cannot write" in result.output
+    elif result.exit_code == 2:
+        assert "Error" in result.output
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_export_code_any_input_exits_0_1_or_2_without_traceback(tmp_path, data):
+    case = data.draw(st.sampled_from(["c1", "c2", "c3", "c4", "C4", "c9", ""]))
+    argv = ["export-code", "--case", case]
+    kind = None
+    if data.draw(st.booleans()):
+        kind, text = data.draw(_path_values(tmp_path))
+        argv += ["--out", text]
+    result = CliRunner().invoke(main, argv)
+    assert result.exception is None or isinstance(result.exception, SystemExit), argv
+    valid_case = case.lower() in ("c1", "c2", "c3", "c4")
+    expected = {None: 0, "file": 0, "empty": 2, "directory": 1}[kind] if valid_case else 2
+    assert result.exit_code == expected, (argv, result.output)
+    if expected == 0 and kind is None:
+        assert json.loads(result.output)["m"] == CaseId.parse(case).m_physical

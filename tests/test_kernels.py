@@ -5,14 +5,14 @@ outcome, and the chunked histogram at every chunk size), the one-pass
 outcome map against its r + 1-pass definition on the reference, the vectorised
 RNG against the scalar streams, and the composition decode sweep against
 the per-pattern k^2 decode loop (random linear codes with repeated, zero
-and all-distinct columns, small chunk sizes so chunk boundaries are
-crossed) and against a Python-int composition reference beyond int64.
+and all-distinct columns) and against a Python-int composition reference
+beyond int64.
 """
 
 import tracemalloc
 from collections import Counter
 from itertools import combinations
-from math import comb
+from math import comb, prod
 from unittest import mock
 
 import numpy as np
@@ -383,15 +383,20 @@ def column_types(m, rows):
     return Counter(tuple(r >> p & 1 for r in rows) for p in range(m))
 
 
+def table_cells(code):
+    """prod(m_i + 1) compositions times k codewords: the cells of the
+    code's sweep table, which ``SWEEP_CELLS`` bounds."""
+    m, rows = code
+    return prod(size + 1 for size in column_types(m, rows).values()) << len(rows)
+
+
 @PROPERTY
 @given(any_codes(), st.data())
 def test_sweep_weight_equals_per_pattern_loop(code, data):
     m, rows = code
     cws = span(rows)
     weight = data.draw(st.integers(1, m))
-    chunk = data.draw(st.integers(1, 40))
-    with mock.patch.object(pure, "SWEEP_CHUNK", chunk):
-        assert pure.sweep_weight(m, cws, weight) == per_pattern_reference(m, cws, weight)
+    assert pure.sweep_weight(m, cws, weight) == per_pattern_reference(m, cws, weight)
 
 
 def test_code_strategies_draw_repeated_zero_and_distinct_columns():
@@ -413,7 +418,7 @@ def test_code_strategies_draw_repeated_zero_and_distinct_columns():
 
 
 @PROPERTY
-@given(any_codes(max_bits=20, max_logical=5))
+@given(any_codes(max_bits=20, max_logical=5).filter(lambda code: table_cells(code) <= pure.SWEEP_CELLS))
 def test_sweep_totals_and_capability(code):
     m, rows = code
     cws = span(rows)
@@ -475,118 +480,106 @@ def composition_count(sizes, weight):
 
 
 @st.composite
-def type_sizes(draw):
-    """Up to 16 type sizes of at most 64 positions in all (the sweep's
-    bound), truncated while prod(size + 1) <= 30000; all-1 tuples of up to
-    22 (every column distinct: the compositions are the patterns) are drawn
-    on purpose."""
-    if draw(st.booleans()):
-        return (1,) * draw(st.integers(1, 22))
-    sizes, span_ = [], 1
-    for size in draw(st.lists(st.integers(1, 40), min_size=1, max_size=16)):
-        if sizes and (span_ * (size + 1) > 30000 or sum(sizes) + size > 64):
+def wide_codes(draw, max_logical=4):
+    """(m, rows) of a code of up to 64 positions over a few column types of
+    up to 40 positions each, within ``SWEEP_CELLS``: multiplicities up to
+    C(64, 32)."""
+    n = draw(st.integers(1, max_logical))
+    columns = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=1 << n, unique=True))
+    sizes = []
+    for size in draw(st.lists(st.integers(1, 40), min_size=len(columns), max_size=len(columns))):
+        if sum(sizes) + size > 64 or prod(s + 1 for s in sizes + [size]) << n > pure.SWEEP_CELLS:
             break
         sizes.append(size)
-        span_ *= size + 1
-    return tuple(sizes)
+    positions = [u for u, size in zip(columns, sizes) for _ in range(size)]
+    m = len(positions)
+    rows = [sum((u >> j & 1) << p for p, u in enumerate(positions)) for j in range(n)]
+    assume(gf2.rank(rows, m) == n)
+    return m, rows
 
 
 @PROPERTY
-@given(type_sizes(), st.data())
-def test_compositions_cover_each_composition_once_in_bounded_chunks(sizes, data):
-    weight = data.draw(st.integers(0, sum(sizes)))
+@given(st.one_of(any_codes(), wide_codes()), st.data())
+def test_sweep_table_holds_each_composition_once(code, data):
+    m, rows = code
+    cws = tuple(span(rows))
+    sizes, _ = pure._column_types(m, cws)
+    table, mults, weight_starts = pure._sweep_table(m, cws)[:3]
+    assert weight_starts[0] == 0 and weight_starts[-1] == len(table) == prod(s + 1 for s in sizes)
+    weight = data.draw(st.integers(0, m))
     count = composition_count(sizes, weight)
-    limit = data.draw(st.integers(max(1, count // 2000), 4096))
-    chunks = list(pure._compositions(sizes, weight, limit))
-    assert all(0 < len(rows) == len(mults) <= limit for rows, mults in chunks)
-    rows = np.concatenate([rows for rows, _ in chunks])
-    mults = np.concatenate([mults for _, mults in chunks])
-    assert rows.shape == (count, len(sizes))
-    assert len(np.unique(rows, axis=0)) == count
-    assert (rows.sum(axis=1) == weight).all()
-    assert ((0 <= rows) & (rows <= sizes)).all()
+    lo, hi = weight_starts[weight], weight_starts[weight + 1]
+    table, mults = table[lo:hi], mults[lo:hi]
+    assert table.shape == (count, len(sizes))
+    assert len(np.unique(table, axis=0)) == count
+    assert (table.sum(axis=1) == weight).all()
+    assert ((0 <= table) & (table <= sizes)).all()
     # each multiplicity is prod C(sizes[i], w_i) (at most C(64, 32) < 2^63)
     binomials = np.array([[comb(size, w) for w in range(max(sizes) + 1)] for size in sizes])
-    assert (mults == binomials[np.arange(len(sizes)), rows].prod(axis=1)).all()
-    assert sum(mults.tolist()) == comb(sum(sizes), weight)
+    assert (mults == binomials[np.arange(len(sizes)), table].prod(axis=1)).all()
+    assert sum(mults.tolist()) == comb(m, weight)
 
 
-def distinct_column_code(m, n):
-    """Codewords of the [m, n] code whose columns are the n unit vectors and
-    then the next m - n other nonzero n-bit values: every column distinct."""
-    columns = [1 << j for j in range(n)] + [u for u in range(1, 1 << n) if u & (u - 1)][:m - n]
-    return span([sum((u >> j & 1) << p for p, u in enumerate(columns)) for j in range(n)])
+def every_column_code(extra=()):
+    """(m, rows) of the 4-row code whose columns are all 16 4-bit values
+    once, then the columns in `extra`."""
+    columns = list(range(16)) + list(extra)
+    return len(columns), [sum((u >> j & 1) << p for p, u in enumerate(columns)) for j in range(4)]
 
 
-@pytest.mark.parametrize("chunk", [7, 50])
-def test_sweep_chunks_never_exceed_the_constant(chunk):
-    m, weight = 14, 3
-    cws = distinct_column_code(m, 4)
-    seen = []
-    compositions = pure._compositions
+def test_sweep_memory_is_bounded_by_the_cell_cap():
+    # 16 distinct columns and k = 16: 2^16 compositions times 16 codewords
+    # is exactly SWEEP_CELLS.  Building the table (2 bytes per composition
+    # and type, a few 8-byte columns per composition) and sweeping the
+    # largest weight (12,870 compositions) stay within a few bytes per cell.
+    m, rows = every_column_code()
+    cws = span(rows)
+    assert table_cells((m, rows)) == pure.SWEEP_CELLS
+    pure._sweep_table.cache_clear()
+    tracemalloc.start()
+    try:
+        cases, _ = pure.sweep_weight(m, cws, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        pure._sweep_table.cache_clear()
+    assert cases == 16 * comb(16, 8)
+    assert peak < 8 * pure.SWEEP_CELLS
 
-    def recording(sizes, weight, limit):
-        for rows, mults in compositions(sizes, weight, limit):
-            if len(sizes) == m:  # the chunks sweep_weight decodes, not the head parts
-                seen.append(len(rows))
-            yield rows, mults
 
-    with mock.patch.object(pure, "SWEEP_CHUNK", chunk), \
-            mock.patch.object(pure, "_compositions", recording):
-        assert pure.sweep_weight(m, cws, weight) == per_pattern_reference(m, cws, weight)
-    assert sum(seen) == comb(m, weight) and max(seen) <= chunk
-
-
-@pytest.mark.parametrize("chunk", [512, 4096])
-@pytest.mark.parametrize("n", [5, 10])
-def test_sweep_memory_is_bounded_by_the_chunk(chunk, n):
-    # every column distinct, so a chunk holds `chunk` patterns, each a row
-    # of m int16 counts; the chunk's arrays (its packed pieces, distances,
-    # the tie rule's temporaries) hold a few copies of that, also when the
-    # k - 1 = 1023 distances per pattern (n = 10) are far more than m.
-    # Weight 6 has 38,760 patterns and weight 8 125,970.
-    m = 20
-    cws = distinct_column_code(m, n)
-    weights = (6, 8) if n == 5 else (6,)
-    with mock.patch.object(pure, "SWEEP_CHUNK", chunk):
-        pure.sweep_weight(m, cws, 1)  # the column types and tables, cached
-        for weight in weights:
-            tracemalloc.start()
-            try:
-                cases, _ = pure.sweep_weight(m, cws, weight)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert cases == len(cws) * comb(m, weight)
-            assert peak < 12 * m * chunk + 131072
+def test_sweep_refuses_a_code_past_the_cell_cap():
+    # one more position, repeating column 1: 3 * 2^15 compositions times 16
+    m, rows = every_column_code(extra=[1])
+    cws = span(rows)
+    assert table_cells((m, rows)) > pure.SWEEP_CELLS
+    for weight in (1, 8, m):
+        with pytest.raises(ValueError, match="at most"):
+            pure.sweep_weight(m, cws, weight)
+    assert pure.sweep_weight(m, cws, 0) == (0, 0)
 
 
 def test_sweep_totals_beyond_int64_equal_python_int_reference():
-    """m = 64, n = 3, each of the 8 column types (zero column included) on
-    8 positions; weight 32 has 8 * C(64, 32) > 2^63 cases.  The reference
-    enumerates the 2,306,025 compositions, decodes each (codeword, pattern)
-    by its k^2 definition on numpy distances, and sums Python ints."""
-    m, n, weight, size = 64, 3, 32, 8
-    rows = [sum((p // size >> j & 1) << p for p in range(m)) for j in range(n)]
+    """m = 64, n = 3: columns 0..6 on one position each and column 7 on the
+    other 57, so 58 * 2^7 = 7,424 compositions; weight 32 has 8 * C(64, 32)
+    > 2^63 cases.  The reference enumerates the weight's compositions,
+    decodes each (codeword, pattern) by its k^2 definition on numpy
+    distances, and sums Python ints."""
+    m, n, weight = 64, 3, 32
+    columns = list(range(7)) + [7] * 57
+    rows = [sum((u >> j & 1) << p for p, u in enumerate(columns)) for j in range(n)]
     cws = span(rows)
-    # covers[u, t]: codeword t covers the 8 positions of type u
-    covers = np.array([[cws[t] >> (size * u) & 1 for t in range(8)] for u in range(8)])
-    assert len({tuple(c) for c in covers.tolist()}) == 8
-    binomials = np.array([comb(size, j) for j in range(size + 1)], dtype=np.int64)
-    halves = np.indices((size + 1,) * 4).reshape(4, -1).T
-    half_weights = halves.sum(axis=1)
-    cases = corrected = 0
-    for left_weight in range(weight - 4 * size, 4 * size + 1):
-        right = halves[half_weights == weight - left_weight]
-        for left in np.array_split(halves[half_weights == left_weight], 8):
-            comps = np.concatenate([np.repeat(left, len(right), axis=0),
-                                    np.tile(right, (len(left), 1))], axis=1)
-            # wt(e ^ cw_t): covered positions count their unflipped bits
-            dist = comps @ (1 - 2 * covers) + size * covers.sum(axis=0)
-            won = sum(dist[:, [l ^ j for j in range(8)]].argmin(axis=1) == l for l in range(8))
-            mults = binomials[comps].prod(axis=1).astype(object)
-            cases += 8 * mults.sum()
-            corrected += np.dot(mults, won.astype(object))
+    sizes = np.array([1] * 7 + [57])
+    assert table_cells((m, rows)) == 7424 * 8
+    # covers[u, t]: codeword t covers type u, whose first position is bit u
+    covers = np.array([[cws[t] >> u & 1 for t in range(8)] for u in range(8)])
+    comps = np.indices(sizes + 1).reshape(8, -1).T
+    comps = comps[comps.sum(axis=1) == weight]
+    # wt(e ^ cw_t): covered positions count their unflipped bits
+    dist = comps @ (1 - 2 * covers) + sizes @ covers
+    won = sum(dist[:, [l ^ j for j in range(8)]].argmin(axis=1) == l for l in range(8))
+    mults = [prod(comb(int(s), int(w)) for s, w in zip(sizes, comp)) for comp in comps]
+    cases = 8 * sum(mults)
+    corrected = sum(mult * int(w) for mult, w in zip(mults, won))
     assert cases == 8 * comb(64, 32) > 1 << 63
     assert pure.sweep_weight(m, cws, weight) == (cases, corrected)
 
@@ -597,5 +590,4 @@ def test_sweep_weight_on_presets_equals_per_pattern_loop(case):
     m = case.m_physical
     cws = code.codewords()
     for w in (1, case.capability, case.capability + 1) if m > 14 else range(m + 1):
-        with mock.patch.object(pure, "SWEEP_CHUNK", 50):
-            assert pure.sweep_weight(m, cws, w) == per_pattern_reference(m, cws, w)
+        assert pure.sweep_weight(m, cws, w) == per_pattern_reference(m, cws, w)
