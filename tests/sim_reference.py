@@ -1,10 +1,13 @@
-"""Plain reference copies of two ``qgqec.sim`` functions, which the faster
-ones are checked against.
+"""Plain reference copies of ``qgqec.sim`` functions, which the faster ones
+are checked against.
 
 ``random_clifford_circuit_reference`` builds each gate through the
 ``Circuit`` methods (range and distinctness checked per gate) and draws each
-qubit pair with ``rnd.sample``.  ``exact_distribution_reference`` renders
-one key per support index with ``format``.
+qubit pair with ``rnd.sample``, which for n <= 21 makes the draws of
+``random_clifford_circuit_draw_reference``.  That one draws with
+``rnd.choice`` and ``rnd.randrange`` and builds a fresh ``Gate`` per gate;
+it defines the circuits at any width.  ``exact_distribution_reference``
+renders one key per support index with ``format``.
 """
 
 import random
@@ -12,7 +15,7 @@ import random
 import numpy as np
 
 from qgqec import sim
-from qgqec.circuits import Circuit
+from qgqec.circuits import Circuit, Gate
 
 
 def random_clifford_circuit_reference(num_qubits: int, num_gates: int, seed: int) -> Circuit:
@@ -27,6 +30,22 @@ def random_clifford_circuit_reference(num_qubits: int, num_gates: int, seed: int
             getattr(c, name.lower())(a, b)
         else:
             getattr(c, name.lower())(rnd.randrange(num_qubits))
+    return c
+
+
+def random_clifford_circuit_draw_reference(num_qubits: int, num_gates: int, seed: int) -> Circuit:
+    rnd = random.Random(seed)
+    n = num_qubits
+    c = Circuit(n)
+    names = ["H", "X", "Z"] + (["CNOT", "CZ"] if n >= 2 else [])
+    for _ in range(num_gates):
+        name = rnd.choice(names)
+        a = rnd.randrange(n)
+        if name in ("CNOT", "CZ"):
+            j = rnd.randrange(n - 1)
+            c.gates.append(Gate(name, (a, n - 1 if j == a else j)))
+        else:
+            c.gates.append(Gate(name, (a,)))
     return c
 
 

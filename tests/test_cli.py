@@ -1,15 +1,20 @@
 """CLI behavior: exit codes, artifacts, determinism, reference comparisons."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import qgqec
 from qgqec import tables
 from qgqec.cases import CaseId
-from qgqec.cli import main
+from qgqec.cli import MAX_CIRCUITS, MAX_GATES, MAX_SHOTS, main
 
 
 @pytest.fixture()
@@ -52,6 +57,35 @@ def test_run_invalid_errors_exit_2(runner):
     assert runner.invoke(main, ["run", "--case", "c1", "--errors", "1,1"]).exit_code == 2
     assert runner.invoke(main, ["run", "--case", "c1", "--errors", "a,b"]).exit_code == 2
     assert runner.invoke(main, ["run", "--case", "c1", "--shots", "0"]).exit_code == 2
+
+
+def test_run_shots_past_the_cap_exit_2(runner):
+    for shots in (MAX_SHOTS + 1, 10 ** 21):
+        result = runner.invoke(main, ["run", "--case", "c1", "--shots", str(shots)])
+        assert result.exit_code == 2
+        assert "Invalid value for '--shots'" in result.output
+
+
+@pytest.mark.parametrize("case, errors", [("c1", "3"), ("c3", "1,5,12"), ("c4", "")])
+def test_family_is_only_a_label(runner, case, errors):
+    reports = {}
+    for family in ("qoccc", "aqecc"):
+        argv = ["run", "--case", case, "--family", family, "--shots", "256", "--seed", "9"]
+        reports[family] = json.loads(invoke(runner, argv + ["--errors", errors]).output)
+    assert reports["qoccc"].pop("family") == "qoccc"
+    assert reports["aqecc"].pop("family") == "aqecc"
+    assert reports["qoccc"] == reports["aqecc"]
+
+
+def test_importing_the_cli_does_not_load_pauli():
+    src = str(Path(qgqec.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", "import json, sys, qgqec.cli; "
+                           "print(json.dumps(sorted(sys.modules)))"],
+                          capture_output=True, text=True, env=env, check=True)
+    loaded = json.loads(done.stdout)
+    assert "qgqec.cli" in loaded and "qgqec.aqecc" in loaded
+    assert "qgqec.pauli" not in loaded
 
 
 def test_run_unwritable_path_exits_1(runner):
@@ -469,20 +503,22 @@ def test_backends_check_small(runner):
     ("--max-gates", "0"),
     ("--max-qubits", "17"),
     ("--circuits", "-1"),
+    ("--circuits", str(MAX_CIRCUITS + 1)),
+    ("--max-gates", str(MAX_GATES + 1)),
 ])
 def test_backends_check_out_of_range_exits_2(runner, flag, value):
     result = runner.invoke(main, ["backends-check", "--circuits", "3", flag, value])
     assert result.exit_code == 2
     assert f"Invalid value for '{flag}'" in result.output
-    assert "backends agree" not in result.output
+    assert "kernel backend" not in result.output and "backends agree" not in result.output
 
 
 # the range click's IntRange gives each option (None: unbounded), and the
 # valid values drawn for it, small enough to run
 _BACKENDS_CHECK_OPTIONS = {
-    "--circuits": ((0, None), st.integers(0, 5)),
+    "--circuits": ((0, MAX_CIRCUITS), st.integers(0, 5)),
     "--max-qubits": ((1, 16), st.integers(1, 16)),
-    "--max-gates": ((1, None), st.integers(1, 30)),
+    "--max-gates": ((1, MAX_GATES), st.integers(1, 30)),
     "--seed": ((None, None), st.integers(-(1 << 70), 1 << 70)),
 }
 
@@ -502,21 +538,26 @@ def _click_int(text, low, high):
 @st.composite
 def backends_check_argvs(draw):
     """(argv, valid, circuits) for `backends-check`: each option absent, given
-    once or repeated (the last one counts), with small valid, boundary,
-    negative, huge and non-integer values.  When every value is valid the run
-    is kept small by a last --circuits in 0..5 and --max-gates in 1..30, so a
-    huge valid value is never run."""
+    once or repeated (the last one counts), with small valid, boundary (each
+    option's own bounds and the ones next to them), large in-range, negative,
+    huge and non-integer values.  When every value is valid the run is kept
+    small by a last --circuits in 0..5 and --max-gates in 1..30, so a large
+    valid value is never run; a value past a cap exits 2 before anything
+    runs."""
     argv = ["backends-check"]
     last = {}
     for option in draw(st.lists(st.sampled_from(sorted(_BACKENDS_CHECK_OPTIONS)), max_size=6)):
+        (low, high), valid_values = _BACKENDS_CHECK_OPTIONS[option]
+        edges = [b + d for b in (low, high) if b is not None for d in (-1, 0, 1)]
         text = draw({
-            "valid": _BACKENDS_CHECK_OPTIONS[option][1].map(str),
-            "boundary": st.sampled_from(["0", "1", "16", "17"]),
+            "valid": valid_values.map(str),
+            "boundary": st.sampled_from(["0", "1", "16", "17", *map(str, edges)]),
+            "large": st.integers(low or 0, high or 1 << 70).map(str),
             "negative": st.integers(-(10 ** 30), -1).map(str),
             "huge": st.integers(10 ** 6, 10 ** 30).map(str),
             "text": st.sampled_from(["", "1.5", "two", "0x3", "2e1", "nan", " 3", "+2", "1_0"]),
         }[draw(st.sampled_from(["valid", "valid", "valid", "valid",
-                                "boundary", "negative", "huge", "text"]))])
+                                "boundary", "large", "negative", "huge", "text"]))])
         argv += [option, text]
         last[option] = text
     parsed = {option: _click_int(text, *_BACKENDS_CHECK_OPTIONS[option][0])
@@ -543,7 +584,8 @@ def test_backends_check_any_input_exits_0_or_2_without_traceback(drawn):
         assert f"\n{circuits} circuits, worst total variation " in result.output
         assert result.output.endswith("backends agree\n")
     else:
-        assert "Error" in result.output and "backends agree" not in result.output
+        assert "Error" in result.output
+        assert "kernel backend" not in result.output and "backends agree" not in result.output
 
 
 def _path_values(tmp_path):
@@ -564,6 +606,7 @@ _run_options = {
         st.sampled_from(["0", "1.5", "two", "", "1e3", "0x10"]),
         st.integers(-(10 ** 30), -1).map(str),
         st.integers(10 ** 6, 10 ** 30).map(lambda v: f"-{v}"),
+        st.integers(MAX_SHOTS + 1, 10 ** 30).map(str),
     ),
     "--errors": st.one_of(
         st.lists(st.integers(-2, 32), max_size=5).map(lambda ps: ",".join(map(str, ps))),
@@ -580,8 +623,8 @@ _run_options = {
 @given(data=st.data())
 def test_run_any_input_exits_0_1_or_2_without_traceback(tmp_path, data):
     """Exit 1 only for a path that cannot be written, and exit 2 for any
-    empty path; --shots is drawn at most 4096 when valid, so a huge value is
-    never run."""
+    empty path or --shots past its cap; --shots is drawn at most 4096 when
+    valid, so a huge value is never run."""
     argv = ["run", "--case", data.draw(st.sampled_from(["c1", "c2", "c3", "c4", "C2", "c9"]))]
     for option in data.draw(st.lists(st.sampled_from(sorted(_run_options)), max_size=5)):
         argv += [option, data.draw(_run_options[option])]
@@ -594,6 +637,9 @@ def test_run_any_input_exits_0_1_or_2_without_traceback(tmp_path, data):
     assert result.exception is None or isinstance(result.exception, SystemExit), argv
     assert "Traceback" not in result.output
     if "empty" in paths.values():
+        assert result.exit_code == 2, argv
+    shots = [argv[i + 1] for i, arg in enumerate(argv) if arg == "--shots"]
+    if shots and shots[-1].isdigit() and int(shots[-1]) > MAX_SHOTS:
         assert result.exit_code == 2, argv
     if result.exit_code == 1:
         assert "directory" in paths.values(), argv

@@ -7,15 +7,19 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qgqec import groups, sim
-from qgqec._kernels_py import TableauEngine, outcome_map
+from qgqec._kernels_py import TableauEngine, outcome_map, outcomes_of
 from qgqec.backend import kernels
 from qgqec.circuits import Circuit, Counts, parse_circuit
 from qgqec.rng import ShotStream
-from sim_reference import exact_distribution_reference, random_clifford_circuit_reference
+from sim_reference import (
+    exact_distribution_reference,
+    random_clifford_circuit_draw_reference,
+    random_clifford_circuit_reference,
+)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -242,6 +246,22 @@ def test_statevector_run_any_chunk_size_gives_one_histogram(n, gates, circuit_se
 
 
 @PROPERTY
+@given(st.integers(1, 64), st.integers(0, 60), st.integers(-(1 << 70), 1 << 70))
+def test_tableau_distribution_support_is_outcomes_of_in_index_order(n, gates, seed):
+    """The support, built by doubling, in insertion order: the outcome of
+    each random-bit index 0..2^r-1 as ``outcomes_of`` maps it."""
+    circuit = sim.random_clifford_circuit(n, gates, seed)
+    engine = TableauEngine(n)
+    engine.apply(sim._clifford_ops(circuit))
+    o0, cols = outcome_map(engine)
+    assume(len(cols) <= 16)
+    support = outcomes_of(o0, cols, np.arange(1 << len(cols), dtype=np.uint64)).tolist()
+    prob = 0.5 ** len(cols)
+    rendered = [(format(out, f"0{n}b")[::-1], prob) for out in support]
+    assert list(sim.tableau_distribution(circuit).items()) == rendered
+
+
+@PROPERTY
 @given(st.integers(1, 16), st.integers(0, 80), st.integers(0, 1 << 62),
        st.none() | st.floats(-0.9, 0.9))
 def test_exact_distribution_equals_full_amplitude_scan(n, gates, circuit_seed, epsilon):
@@ -271,6 +291,24 @@ def test_random_clifford_circuit_equals_sample_based_generator(n, gates, seed):
     reference = random_clifford_circuit_reference(n, gates, seed)
     assert circuit.num_qubits == n
     assert circuit.gates == reference.gates
+
+
+@PROPERTY
+@given(st.integers(1, 64), st.integers(0, 200), st.integers(-(1 << 70), 1 << 70))
+def test_random_clifford_circuit_equals_choice_and_randrange_draws(n, gates, seed):
+    """Every ``getrandbits`` loop draws what ``rnd.choice`` or ``rnd.randrange``
+    would, at any width, including those past 21 qubits where pairs no
+    longer match ``rnd.sample``."""
+    circuit = sim.random_clifford_circuit(n, gates, seed)
+    reference = random_clifford_circuit_draw_reference(n, gates, seed)
+    assert circuit.num_qubits == n
+    assert circuit.gates == reference.gates
+
+
+def test_gate_cache_is_bounded():
+    assert sim._gate.cache_info().maxsize == sim.GATE_CACHE_SIZE
+    sim.random_clifford_circuit(64, 20_000, seed=3)  # more distinct gates than the cache holds
+    assert sim._gate.cache_info().currsize <= sim.GATE_CACHE_SIZE
 
 
 @pytest.mark.parametrize("n", range(2, 17))
@@ -371,6 +409,21 @@ def test_final_state_both_cnot_and_cz_orientations_at_the_register_ends():
         circuit.cnot(a, b).cz(a, b).z(a).h(b)
         _assert_matches_reference(circuit)
     _assert_matches_reference(Circuit(1).x(0).h(0).z(0).x(0))
+
+
+def test_final_state_strided_corners():
+    """Views the engine leaves behind: a state reversed by a last X, a dense
+    operator on reversed axes, and a 2-qubit operator in both qubit orders."""
+    _assert_matches_reference(Circuit(1).x(0))
+    _assert_matches_reference(Circuit(1).h(0).x(0))
+    _assert_matches_reference(Circuit(3).h(1).x(0).x(2))
+    for qubits in ((0, 2), (2, 0), (1, 2), (2, 1)):
+        circuit = Circuit(3).h(0).h(1).x(qubits[0]).x(qubits[1])
+        circuit.unitary(_random_operator(4, 11), qubits)
+        _assert_matches_reference(circuit.x(qubits[1]))
+        one = Circuit(3).h(1).x(qubits[0])
+        one.unitary(_random_operator(2, 12), (qubits[0],))
+        _assert_matches_reference(one)
 
 
 def test_final_state_memory_stays_a_few_states():
