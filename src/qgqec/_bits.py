@@ -1,10 +1,6 @@
 """Small bit-mask helpers shared across the GF(2) layers."""
 
-try:
-    popcount = int.bit_count
-except AttributeError:  # Python < 3.11
-    def popcount(v: int) -> int:
-        return bin(v).count("1")
+popcount = int.bit_count
 
 
 def bits_to_int(s: str) -> int:

@@ -225,13 +225,13 @@ def sample_shots(num_qubits: int, ops, shots: int, seed: int) -> dict[int, int]:
     """Simulate once, then measure `shots` independent copies; returns
     {outcome: count} with keys in ascending random-bit index order.
 
-    Shot s consumes the low r bits of the first word of ``ShotStream(seed,
-    s)`` (r <= n <= 64), its random-bit index, and its outcome is a function
-    of that index alone.  So shots are taken ``SHOT_CHUNK`` at a time, each
-    chunk's indices histogrammed with ``np.unique``, the histograms merged,
-    and only the distinct indices mapped to outcomes (``outcomes_of``):
-    memory stays within a few chunks at any shot count, beyond the
-    histogram itself.  Merges keep each pending run more than twice the size
+    Shot s consumes the low r bits of the first word of its stream
+    (``rng.first_words``; r <= n <= 64), its random-bit index, and its
+    outcome is a function of that index alone.  So shots are taken
+    ``SHOT_CHUNK`` at a time, each chunk's indices histogrammed with
+    ``np.unique``, the histograms merged, and only the distinct indices
+    mapped to outcomes (``outcomes_of``): memory stays within a few chunks
+    at any shot count, beyond the histogram itself.  Merges keep each pending run more than twice the size
     of the next, so even r = 64 (every index distinct) merges in
     O(shots log shots).
     """

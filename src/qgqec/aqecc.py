@@ -30,14 +30,6 @@ def correctable_errors(d: int) -> int:
     return (d - 1) // 2
 
 
-def cyclic_shift(v: str, i: int) -> str:
-    """Shift so output position p reads input position (p + i) mod len(v)."""
-    if not v:
-        return v
-    n = len(v)
-    return int_to_bits(rotl(bits_to_int(v), i, n), n)
-
-
 @dataclass(frozen=True)
 class CodeSpec:
     m_physical: int
@@ -109,12 +101,6 @@ class QCCode:
         }
         return json.dumps(payload, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "QCCode":
-        d = json.loads(text)
-        spec = CodeSpec(d["m"], d["n"], d["d"], d["p"])
-        return cls(spec, d["base"], d["stride"], tuple(d["rows"]), tuple(d["checks"]))
-
 
 def min_distance(rows: list[str]) -> int:
     """Minimum Hamming weight over all nonzero GF(2) row combinations.
@@ -177,15 +163,6 @@ def _search_base(m: int, n: int, d: int, stride: int) -> tuple[int, list[int]]:
         f"quasi-cyclic base search exhausted for [{m},{n},{d}] stride {stride}; "
         "this indicates a broken preset, not a user error"
     )
-
-
-def encode_logical(code: QCCode, logical_bits: str) -> str:
-    """XOR of the generator rows selected by the logical bits."""
-    n, m = code.spec.n_logical, code.spec.m_physical
-    if len(logical_bits) != n:
-        raise ValueError(f"expected {n} logical bits, got {len(logical_bits)}")
-    l = bits_to_int(logical_bits)
-    return int_to_bits(code.codewords()[l], m)
 
 
 def decode(code: QCCode, received: str) -> tuple[str, str, int]:

@@ -1,17 +1,9 @@
-"""Circuit and Counts containers plus their wire formats.
+"""Circuit and Counts containers plus the Counts wire formats.
 
-Text format, one gate per line with ``#`` comments::
-
-    # qubits: 8
-    H 0
-    CNOT 0 5
-    CZ 1 2
-    X 3
-
-The ``# qubits: N`` comment pins the register width (it cannot always be
-inferred: trailing qubits may be untouched).  Counts serialize to JSON
-``{"total_shots": n, "counts": {...}}`` and to CSV ``outcome,count`` with
-quoted bitstrings.
+Counts are read from JSON ``{"total_shots": n, "counts": {...}}`` and
+written to CSV ``outcome,count`` with quoted bitstrings.  numpy is imported
+only by ``Circuit.unitary``, so that commands which build no dense gate do
+not load it.
 """
 
 from __future__ import annotations
@@ -21,9 +13,7 @@ import io
 import json
 from dataclasses import dataclass, field
 
-import numpy as np
-
-CLIFFORD_GATES = {"H": 1, "X": 1, "Z": 1, "CNOT": 2, "CZ": 2}
+STATEVECTOR_QUBIT_CAP = 16  # widest circuit the dense statevector engine takes
 
 
 @dataclass(frozen=True)
@@ -31,9 +21,6 @@ class Gate:
     name: str
     qubits: tuple[int, ...]
     matrix: object = None  # dense payload for name == "U" only
-
-    def __str__(self) -> str:
-        return " ".join([self.name, *map(str, self.qubits)])
 
 
 class Circuit:
@@ -75,6 +62,8 @@ class Circuit:
 
     def unitary(self, matrix, qubits) -> "Circuit":
         """Dense 1- or 2-qubit operator (statevector backend only)."""
+        import numpy as np
+
         qubits = self._check(*qubits)
         matrix = np.asarray(matrix, dtype=complex)
         if matrix.shape != (2 ** len(qubits),) * 2 or len(qubits) not in (1, 2):
@@ -82,58 +71,8 @@ class Circuit:
         self.gates.append(Gate("U", qubits, matrix))
         return self
 
-    def is_clifford(self) -> bool:
-        return all(g.name in CLIFFORD_GATES for g in self.gates)
-
-    def gate_counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for g in self.gates:
-            out[g.name] = out.get(g.name, 0) + 1
-        return out
-
-    def to_text(self) -> str:
-        lines = [f"# qubits: {self.num_qubits}"]
-        for g in self.gates:
-            if g.name == "U":
-                raise ValueError("dense gates have no text form")
-            lines.append(str(g))
-        return "\n".join(lines) + "\n"
-
     def __repr__(self) -> str:
         return f"Circuit(num_qubits={self.num_qubits}, gates={len(self.gates)})"
-
-
-def parse_circuit(text: str) -> Circuit:
-    """Parse the one-gate-per-line format; honors a '# qubits: N' comment."""
-    declared = None
-    parsed: list[tuple[str, tuple[int, ...]]] = []
-    max_q = -1
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.lower().startswith("qubits:"):
-                declared = int(body.split(":", 1)[1])
-            continue
-        if not line:
-            continue
-        line = line.split("#", 1)[0].strip()
-        parts = line.split()
-        name = parts[0].upper()
-        if name not in CLIFFORD_GATES:
-            raise ValueError(f"line {lineno}: unknown gate {parts[0]!r}")
-        if len(parts) - 1 != CLIFFORD_GATES[name]:
-            raise ValueError(f"line {lineno}: {name} takes {CLIFFORD_GATES[name]} qubit(s)")
-        qubits = tuple(int(p) for p in parts[1:])
-        max_q = max(max_q, *qubits)
-        parsed.append((name, qubits))
-    if declared is None and max_q < 0:
-        raise ValueError("empty circuit with no '# qubits:' declaration")
-    n = declared if declared is not None else max_q + 1
-    circuit = Circuit(n)
-    for name, qubits in parsed:
-        getattr(circuit, name.lower())(*qubits)
-    return circuit
 
 
 @dataclass(frozen=True)
@@ -161,16 +100,12 @@ class Counts:
     def num_outcomes(self) -> int:
         return len(self.counts)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"total_shots": self.total_shots, "counts": self.counts}, sort_keys=True
-        )
-
     @classmethod
     def from_json(cls, text: str) -> "Counts":
-        """Read ``to_json`` output; any other shape raises ValueError or
-        KeyError.  Counts and total_shots must be JSON integers: a float, a
-        string or a boolean raises ValueError rather than being coerced."""
+        """Read ``{"total_shots": n, "counts": {...}}``, as a ``run`` report
+        holds it; any other shape raises ValueError or KeyError.  Counts and
+        total_shots must be JSON integers: a float, a string or a boolean
+        raises ValueError rather than being coerced."""
         d = json.loads(text)
         if not isinstance(d, dict) or not isinstance(d.get("counts"), dict):
             raise ValueError("counts JSON needs a 'counts' object")
@@ -185,14 +120,6 @@ class Counts:
         for outcome in sorted(self.counts):
             lines.append(f'"{outcome}",{self.counts[outcome]}')
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_csv(cls, text: str) -> "Counts":
-        rows = parse_count_rows(text)
-        merged: dict[str, int] = {}
-        for outcome, count in rows:
-            merged[outcome] = merged.get(outcome, 0) + count
-        return cls(merged)
 
 
 def parse_count_rows(text: str) -> list[tuple[str, int]]:

@@ -1,5 +1,7 @@
 """Command-line front end: run cases, sweeps, statistics, code export, and
-the simulator cross-validation suite.
+the simulator cross-validation suite.  The simulating modules (and with
+them numpy) are imported inside the commands that use them, so ``stats``,
+``export-code`` and ``--help`` start without them.
 
 Exit codes: 0 success (including scientific findings such as capability
 exceeded), 2 configuration/input errors, 1 internal failures.  Identical
@@ -16,10 +18,9 @@ from pathlib import Path
 
 import click
 
-from qgqec import aqecc, experiments, sim, stats, tables
-from qgqec.backend import BACKEND_NAME, available_backends
+from qgqec import aqecc, stats, tables
 from qgqec.cases import CaseId
-from qgqec.circuits import parse_count_rows
+from qgqec.circuits import STATEVECTOR_QUBIT_CAP, Counts, parse_count_rows
 
 CASE_CHOICES = click.Choice(["c1", "c2", "c3", "c4"], case_sensitive=False)
 # Each flag that sets an amount of work has a maximum, so that every
@@ -85,6 +86,8 @@ def main():
               help="Write outcome,count CSV sorted by count.")
 def run(case_name, family, shots, seed, errors_text, out_path, fmt, barchart_path):
     """Encode, inject errors, simulate, decode, and report one case."""
+    from qgqec import experiments
+
     errors = _parse_errors(errors_text)
     try:
         report = experiments.run_case(CaseId.parse(case_name), family, shots, seed, errors)
@@ -110,6 +113,8 @@ def run(case_name, family, shots, seed, errors_text, out_path, fmt, barchart_pat
               help="Optional JSON summary file.")
 def sweep(case_name, max_weight, threads, out_path):
     """Exhaustively decode every error pattern up to a weight."""
+    from qgqec import experiments
+
     case = CaseId.parse(case_name)
     if max_weight is None:
         max_weight = case.capability
@@ -150,10 +155,7 @@ def _load_rows(input_ref: str, column: str | None):
         raise click.UsageError(f"counts input {input_ref!r} is not UTF-8 text")
     try:
         if text.lstrip().startswith("{"):
-            from qgqec.circuits import Counts
-
-            counts = Counts.from_json(text)
-            return stats.as_rows(counts), None
+            return stats.as_rows(Counts.from_json(text)), None
         return parse_count_rows(text), None
     except (ValueError, KeyError) as exc:
         raise click.UsageError(f"malformed counts input {input_ref!r}: {exc}")
@@ -178,6 +180,8 @@ def stats_cmd(input_ref, classifier, reference_id, column, case_name, errors_tex
             case_name = table.case
         if case_name is None:
             raise click.UsageError("--classifier decoded needs --case")
+        from qgqec import experiments
+
         code = aqecc.build_qc_code(CaseId.parse(case_name))
         try:
             errors = experiments.check_error_positions(_parse_errors(errors_text),
@@ -235,7 +239,7 @@ def export_code(case_name, out_path):
 
 @main.command(name="backends-check")
 @click.option("--circuits", type=click.IntRange(0, MAX_CIRCUITS), default=200, show_default=True)
-@click.option("--max-qubits", type=click.IntRange(1, sim.STATEVECTOR_QUBIT_CAP), default=8,
+@click.option("--max-qubits", type=click.IntRange(1, STATEVECTOR_QUBIT_CAP), default=8,
               show_default=True)
 @click.option("--max-gates", type=click.IntRange(1, MAX_GATES), default=40, show_default=True)
 @_seed_option
@@ -244,6 +248,9 @@ def backends_check(circuits, max_qubits, max_gates, seed):
 
     The largest call, --circuits 10000 --max-qubits 16 --max-gates 1000,
     takes about 5 minutes on a 2-vCPU Xeon host."""
+    from qgqec import sim
+    from qgqec.backend import BACKEND_NAME, available_backends
+
     click.echo(f"kernel backend: {BACKEND_NAME} (available: {', '.join(available_backends())})")
     report = sim.backend_equivalence(circuits, max_qubits, max_gates, seed=seed)
     click.echo(

@@ -6,9 +6,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from qgqec import aqecc, sim, stats
-from qgqec._bits import int_to_bits
-from qgqec.backend import kernels
+from qgqec import aqecc, stats
 from qgqec.cases import CaseId
 from qgqec.circuits import Circuit, Counts
 
@@ -43,20 +41,6 @@ class CaseReport:
             "stats": self.stats.to_dict(),
         }
         return json.dumps(payload, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CaseReport":
-        d = json.loads(text)
-        return cls(
-            case=CaseId[d["case"]],
-            family=d["family"],
-            counts=Counts({str(k): int(v) for k, v in d["counts"].items()}, d["total_shots"]),
-            corrected_shots=int(d["corrected_shots"]),
-            uncorrected_shots=int(d["uncorrected_shots"]),
-            stats=stats.StatsSummary(**d["stats"]),
-            error_positions=tuple(d["error_positions"]),
-            seed=int(d["seed"]),
-        )
 
 
 def _check_family(family: str) -> str:
@@ -136,6 +120,8 @@ def _is_corrected(code: aqecc.QCCode, outcome: str, error_mask: int, weight: int
 
 def run_case(case, family: str, shots: int, seed: int, error_positions=()) -> CaseReport:
     """Simulate on the tableau backend and classify every shot."""
+    from qgqec import sim
+
     case = case if isinstance(case, CaseId) else CaseId.parse(case)
     _check_family(family)
     if shots < 1:
@@ -171,17 +157,6 @@ def run_case(case, family: str, shots: int, seed: int, error_positions=()) -> Ca
     )
 
 
-def decoded_histogram(case, counts: Counts) -> dict[str, int]:
-    """Histogram of decoded logical bitstrings over measured outcomes."""
-    case = case if isinstance(case, CaseId) else CaseId.parse(case)
-    code = aqecc.build_qc_code(case)
-    by_index: dict[int, int] = {}
-    for outcome, count in counts.counts.items():
-        logical, _ = aqecc._nearest(code, aqecc._received_word(code, outcome))
-        by_index[logical] = by_index.get(logical, 0) + count
-    return {int_to_bits(logical, case.n_logical): n for logical, n in by_index.items()}
-
-
 @dataclass(frozen=True)
 class SweepResult:
     case: CaseId
@@ -209,20 +184,6 @@ class SweepResult:
         }
         return json.dumps(payload, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "SweepResult":
-        d = json.loads(text)
-        return cls(
-            case=CaseId[d["case"]],
-            max_weight=int(d["max_weight"]),
-            per_weight=tuple(
-                (int(e["weight"]), int(e["cases"]), int(e["corrected"]))
-                for e in d["per_weight"]
-            ),
-            patterns_tested=int(d["patterns_tested"]),
-            patterns_corrected=int(d["patterns_corrected"]),
-        )
-
 
 def exhaustive_correction_sweep(case, max_weight: int, threads: int | None = None) -> SweepResult:
     """Classically decode codeword ^ pattern for every codeword and every
@@ -230,6 +191,8 @@ def exhaustive_correction_sweep(case, max_weight: int, threads: int | None = Non
     ``kernels.sweep_weight`` call per weight on the calling thread.  `threads`
     is accepted for compatibility and changes nothing: each weight is a
     millisecond-scale numpy call, which a thread pool only slowed down."""
+    from qgqec.backend import kernels
+
     case = case if isinstance(case, CaseId) else CaseId.parse(case)
     m = case.m_physical
     if max_weight < 1:

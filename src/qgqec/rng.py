@@ -2,11 +2,13 @@
 
 Every shot draws from its own SplitMix64 stream keyed by (seed, shot_index),
 so results are reproducible bit-for-bit and independent of shot evaluation
-order.  Seeds and shot indices are taken mod 2^64: seeds s and s + 2^64
-give the same streams.  ``first_words`` is the same arithmetic on numpy
-arrays, over any range of shot indices, for samplers that need no more than
-one word per shot and take their shots in bounded chunks;
-``tests/test_kernels.py`` pins it against the scalar ``ShotStream``.
+order.  The stream of shot s starts from state
+mix64(mix64(seed) ^ (s + _GAMMA)), and each word adds _GAMMA to the state
+and returns mix64 of it, all mod 2^64: seeds s and s + 2^64 give the same
+streams.  ``first_words`` computes the first word of every stream in a range
+of shot indices on numpy arrays; the samplers need no more than one word per
+shot and take their shots in bounded chunks.  The scalar per-shot stream,
+their reference, lives with the tests (``tests/sim_reference.py``).
 """
 
 import numpy as np
@@ -23,11 +25,6 @@ def mix64(v: int) -> int:
     return v ^ (v >> 31)
 
 
-def shot_state(seed: int, shot_index: int) -> int:
-    """Initial stream state for one shot of one run."""
-    return mix64(mix64(seed & MASK64) ^ ((shot_index + _GAMMA) & MASK64))
-
-
 def _mix64_array(v: np.ndarray) -> np.ndarray:
     """``mix64`` of every element of a uint64 array, in place."""
     v ^= v >> np.uint64(30)
@@ -39,11 +36,11 @@ def _mix64_array(v: np.ndarray) -> np.ndarray:
 
 
 def first_words(seed: int, shots: int, start: int = 0) -> np.ndarray:
-    """``ShotStream(seed, s).next_word()`` for s in start..start+shots-1, as
-    uint64, so consecutive ranges concatenate to one longer range.
+    """The first word of the stream of each shot s in start..start+shots-1,
+    as uint64, so consecutive ranges concatenate to one longer range.
 
     Every step stays on arrays: uint64 array arithmetic wraps modulo 2^64
-    silently, exactly like the masked Python ints above (shot indices
+    silently, exactly like the masked Python ints of ``mix64`` (shot indices
     included).
     """
     words = np.arange(shots, dtype=np.uint64)
@@ -52,31 +49,3 @@ def first_words(seed: int, shots: int, start: int = 0) -> np.ndarray:
     _mix64_array(words)
     words += np.uint64(_GAMMA)
     return _mix64_array(words)
-
-
-class ShotStream:
-    """Word-buffered bit/float source for a single shot."""
-
-    __slots__ = ("_state", "_word", "_bits_left")
-
-    def __init__(self, seed: int, shot_index: int):
-        self._state = shot_state(seed, shot_index)
-        self._word = 0
-        self._bits_left = 0
-
-    def next_word(self) -> int:
-        self._state = (self._state + _GAMMA) & MASK64
-        return mix64(self._state)
-
-    def next_bit(self) -> int:
-        if self._bits_left == 0:
-            self._word = self.next_word()
-            self._bits_left = 64
-        bit = self._word & 1
-        self._word >>= 1
-        self._bits_left -= 1
-        return bit
-
-    def next_float(self) -> float:
-        """Uniform in [0, 1) with 53 random bits."""
-        return (self.next_word() >> 11) * (1.0 / (1 << 53))

@@ -35,10 +35,9 @@ from functools import lru_cache
 import numpy as np
 
 from qgqec.backend import kernels
-from qgqec.circuits import Circuit, Counts, Gate
+from qgqec.circuits import STATEVECTOR_QUBIT_CAP, Circuit, Counts, Gate
 from qgqec.rng import first_words
 
-STATEVECTOR_QUBIT_CAP = 16
 PROB_PRUNE = 1e-15
 # holds every distinct gate on up to 45 qubits: 3 n + 2 n (n - 1) = 4,095
 GATE_CACHE_SIZE = 4096
@@ -197,11 +196,12 @@ def exact_distribution(circuit: Circuit) -> dict[str, float]:
 def statevector_run(circuit: Circuit, shots: int, seed: int) -> Counts:
     """Exact amplitude evolution, sampled with the shared per-shot streams.
 
-    Shot s draws u = (first word >> 11) * 2^-53, the first ``next_float`` of
-    its stream, and lands on the first basis state whose cumulative
-    probability exceeds u.  Shots are taken ``kernels.SHOT_CHUNK`` at a time
-    and counted into one array of 2^n counts, so memory is bounded at any
-    shot count; keys come out in ascending basis-state order.
+    Shot s draws u = (first word of its stream >> 11) * 2^-53, uniform in
+    [0, 1) with 53 random bits, and lands on the first basis state whose
+    cumulative probability exceeds u.  Shots are taken
+    ``kernels.SHOT_CHUNK`` at a time and counted into one array of 2^n
+    counts, so memory is bounded at any shot count; keys come out in
+    ascending basis-state order.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")

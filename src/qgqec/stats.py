@@ -1,4 +1,4 @@
-"""Counts statistics: error rate, mean, population variance, comparisons.
+"""Counts statistics: error rate, mean and population variance.
 
 Functions accept a Counts object, a mapping, or an explicit row list of
 (outcome, count) pairs.  Row lists may contain duplicate outcome strings;
@@ -98,63 +98,3 @@ def summarize(c, is_error) -> StatsSummary:
         num_outcomes=len(rows),
         total_counts=sum(v for _, v in rows),
     )
-
-
-@dataclass(frozen=True)
-class ComparisonTable:
-    """Per-case stats for two families side by side (long format)."""
-
-    rows: tuple[dict, ...]  # keys: case, P, family, mean, variance, error_rate
-
-    def to_csv(self) -> str:
-        lines = ["case,P,family,mean,variance,error_rate"]
-        for r in self.rows:
-            lines.append(
-                f"{r['case']},{r['P']},{r['family']},"
-                f"{r['mean']!r},{r['variance']!r},{r['error_rate']!r}"
-            )
-        return "\n".join(lines) + "\n"
-
-    def to_text(self) -> str:
-        header = ("case", "P", "family", "mean", "variance", "error_rate")
-        table = [header] + [
-            (
-                r["case"],
-                str(r["P"]),
-                r["family"],
-                f"{r['mean']:.6g}",
-                f"{r['variance']:.6g}",
-                f"{r['error_rate']:.6g}",
-            )
-            for r in self.rows
-        ]
-        widths = [max(len(row[i]) for row in table) for i in range(len(header))]
-        lines = [
-            "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row))
-            for row in table
-        ]
-        return "\n".join(lines) + "\n"
-
-
-def comparison_table(report_pairs) -> ComparisonTable:
-    """Build the side-by-side layout from (qc_report, gt_report) pairs
-    aligned by case."""
-    pairs = list(report_pairs)
-    if not pairs:
-        raise ValueError("no report pairs")
-    rows = []
-    for qc, gt in pairs:
-        if qc.case != gt.case:
-            raise ValueError(f"mismatched cases: {qc.case} vs {gt.case}")
-        for rep in (qc, gt):
-            rows.append(
-                {
-                    "case": rep.case.name,
-                    "P": rep.case.capability,
-                    "family": rep.family,
-                    "mean": rep.stats.mean,
-                    "variance": rep.stats.variance,
-                    "error_rate": rep.stats.error_rate_percent,
-                }
-            )
-    return ComparisonTable(tuple(rows))

@@ -1,4 +1,5 @@
-"""Embedded reference count tables and statistics rows (keyed t1..t10).
+"""Embedded reference counts tables (keyed t1..t8) and the Table 9/10
+reference statistics rows.
 
 Rows are kept verbatim, duplicates and all: two of the listed tables repeat
 outcome strings with different counts, one outcome string is a character

@@ -7,7 +7,9 @@ qubit pair with ``rnd.sample``, which for n <= 21 makes the draws of
 ``random_clifford_circuit_draw_reference``.  That one draws with
 ``rnd.choice`` and ``rnd.randrange`` and builds a fresh ``Gate`` per gate;
 it defines the circuits at any width.  ``exact_distribution_reference``
-renders one key per support index with ``format``.
+renders one key per support index with ``format``.  ``ShotStream`` is the
+scalar per-shot stream that ``qgqec.rng.first_words`` vectorises, and so the
+reference for ``first_words`` and for both samplers.
 """
 
 import random
@@ -16,6 +18,7 @@ import numpy as np
 
 from qgqec import sim
 from qgqec.circuits import Circuit, Gate
+from qgqec.rng import _GAMMA, MASK64, mix64
 
 
 def random_clifford_circuit_reference(num_qubits: int, num_gates: int, seed: int) -> Circuit:
@@ -57,3 +60,36 @@ def exact_distribution_reference(circuit: Circuit) -> dict[str, float]:
         format(idx, f"0{n}b"): float(probs[idx])
         for idx in np.flatnonzero(probs > sim.PROB_PRUNE).tolist()
     }
+
+
+def shot_state(seed: int, shot_index: int) -> int:
+    """Initial stream state for one shot of one run."""
+    return mix64(mix64(seed & MASK64) ^ ((shot_index + _GAMMA) & MASK64))
+
+
+class ShotStream:
+    """Word-buffered bit/float source for a single shot."""
+
+    __slots__ = ("_state", "_word", "_bits_left")
+
+    def __init__(self, seed: int, shot_index: int):
+        self._state = shot_state(seed, shot_index)
+        self._word = 0
+        self._bits_left = 0
+
+    def next_word(self) -> int:
+        self._state = (self._state + _GAMMA) & MASK64
+        return mix64(self._state)
+
+    def next_bit(self) -> int:
+        if self._bits_left == 0:
+            self._word = self.next_word()
+            self._bits_left = 64
+        bit = self._word & 1
+        self._word >>= 1
+        self._bits_left -= 1
+        return bit
+
+    def next_float(self) -> float:
+        """Uniform in [0, 1) with 53 random bits."""
+        return (self.next_word() >> 11) * (1.0 / (1 << 53))

@@ -77,14 +77,34 @@ def test_family_is_only_a_label(runner, case, errors):
     assert reports["qoccc"] == reports["aqecc"]
 
 
-def test_importing_the_cli_does_not_load_pauli():
+# Runs one command in a fresh interpreter (none for an empty argv) and prints
+# the names of the modules loaded by then, as the last line of stderr.
+_LIST_MODULES = (
+    "import atexit, json, sys\n"
+    "atexit.register(lambda: print(json.dumps(sorted(sys.modules)), file=sys.stderr))\n"
+    "from qgqec.cli import main\n"
+    "if sys.argv[1:]:\n"
+    "    main(sys.argv[1:])\n"
+)
+
+
+@pytest.mark.parametrize("argv, simulates", [
+    ([], False),
+    (["stats", "t1"], False),
+    (["stats", "t1", "--classifier", "decoded", "--case", "c1", "--errors", "3"], False),
+    (["export-code", "--case", "c4"], False),
+    (["--help"], False),
+    (["run", "--case", "c1", "--shots", "8"], True),
+], ids=["import", "stats", "stats-decoded", "export-code", "help", "run"])
+def test_only_simulating_commands_load_numpy(argv, simulates):
     src = str(Path(qgqec.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", "import json, sys, qgqec.cli; "
-                           "print(json.dumps(sorted(sys.modules)))"],
+    done = subprocess.run([sys.executable, "-c", _LIST_MODULES, *argv],
                           capture_output=True, text=True, env=env, check=True)
-    loaded = json.loads(done.stdout)
-    assert "qgqec.cli" in loaded and "qgqec.aqecc" in loaded
+    loaded = set(json.loads(done.stderr.splitlines()[-1]))
+    assert {"qgqec.cli", "qgqec.aqecc"} <= loaded
+    assert ("numpy" in loaded) == simulates
+    assert ("qgqec.sim" in loaded) == simulates
     assert "qgqec.pauli" not in loaded
 
 

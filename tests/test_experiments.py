@@ -3,6 +3,7 @@
 import json
 import random
 import threading
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -17,18 +18,19 @@ from qgqec.cases import CaseId
 def test_build_case_circuit_shapes():
     c1 = experiments.build_case_circuit(CaseId.C1)
     assert c1.num_qubits == 8
-    counts = c1.gate_counts()
+    counts = Counter(g.name for g in c1.gates)
     assert counts["H"] == 3
-    assert counts.get("X", 0) == 0
+    assert counts["X"] == 0
 
     c3 = experiments.build_case_circuit(CaseId.C3, "aqecc", (0, 12))
     assert c3.num_qubits == 13
-    assert c3.gate_counts()["X"] == 2
-    assert c3.gate_counts()["H"] == 1
+    counts = Counter(g.name for g in c3.gates)
+    assert counts["X"] == 2
+    assert counts["H"] == 1
 
     c4 = experiments.build_case_circuit(CaseId.C4, "aqecc", (0, 1, 2, 3, 4, 5))
     assert c4.num_qubits == 29
-    assert c4.gate_counts()["X"] == 6  # capability excess is fine at build time
+    assert Counter(g.name for g in c4.gates)["X"] == 6  # capability excess is fine at build time
 
 
 def test_build_case_circuit_validation():
@@ -71,7 +73,10 @@ def test_no_error_outcomes_are_codewords():
 def test_single_logical_cases_have_two_decoded_outcomes():
     for case in (CaseId.C3, CaseId.C4):
         report = experiments.run_case(case, "aqecc", 256, 5)
-        hist = experiments.decoded_histogram(case, report.counts)
+        code = aqecc.build_qc_code(case)
+        hist = Counter()
+        for outcome, count in report.counts.counts.items():
+            hist[aqecc.decode(code, outcome)[0]] += count
         assert len(hist) == 2
         assert sum(hist.values()) == 256
 
@@ -103,12 +108,6 @@ def test_case_report_json():
     assert payload["corrected_shots"] == 64
     assert payload["error_positions"] == [3]
     assert sum(payload["counts"].values()) == payload["total_shots"]
-    assert experiments.CaseReport.from_json(report.to_json()) == report
-
-
-def test_sweep_result_json_round_trip():
-    res = experiments.exhaustive_correction_sweep(CaseId.C1, 2)
-    assert experiments.SweepResult.from_json(res.to_json()) == res
 
 
 def test_sweep_counts_and_classification():
@@ -158,7 +157,7 @@ def test_sweep_validation():
 
 def test_classify_outcome_rules():
     code = aqecc.build_qc_code(CaseId.C3)
-    cw = aqecc.encode_logical(code, "1")
+    cw = format(code.codewords()[1], "013b")
     assert experiments.classify_outcome(code, cw, ())
     flipped = "0" + cw[1:]
     assert experiments.classify_outcome(code, flipped, (0,))
@@ -198,7 +197,7 @@ def test_classify_outcome_equals_string_definition(case, data):
 
 
 @pytest.mark.parametrize("case", list(CaseId))
-def test_run_case_and_decoded_histogram_equal_string_decoding(case):
+def test_run_case_equals_string_decoding(case):
     positions = tuple(range(0, 2 * case.capability, 2))
     with mock.patch.object(experiments, "_error_mask", wraps=experiments._error_mask) as mask:
         report = experiments.run_case(case, "aqecc", 512, 3, positions)
@@ -207,17 +206,11 @@ def test_run_case_and_decoded_histogram_equal_string_decoding(case):
     corrected = sum(count for outcome, count in report.counts.counts.items()
                     if string_classify_reference(code, outcome, positions))
     assert report.corrected_shots == corrected
-    expected = {}
-    for outcome, count in report.counts.counts.items():
-        logical = aqecc.decode(code, outcome)[0]
-        expected[logical] = expected.get(logical, 0) + count
-    histogram = experiments.decoded_histogram(case, report.counts)
-    assert list(histogram.items()) == list(expected.items())
 
 
 def test_classify_outcome_rejects_bad_positions():
     code = aqecc.build_qc_code(CaseId.C1)
-    cw = aqecc.encode_logical(code, "101")
+    cw = format(code.codewords()[0b101], "08b")
     for positions, message in (((0, 0), "must be distinct"),
                                ((8,), "position 8 out of range for M=8"),
                                ((-1,), "position -1 out of range for M=8")):
@@ -239,7 +232,7 @@ def test_barchart_csv_sorted():
 def test_qoccc_family_uses_same_circuit():
     a = experiments.build_case_circuit(CaseId.C2, "aqecc", (1,))
     b = experiments.build_case_circuit(CaseId.C2, "qoccc", (1,))
-    assert [str(g) for g in a.gates] == [str(g) for g in b.gates]
+    assert [(g.name, g.qubits) for g in a.gates] == [(g.name, g.qubits) for g in b.gates]
     ra = experiments.run_case(CaseId.C2, "aqecc", 64, 7, (1,))
     rb = experiments.run_case(CaseId.C2, "qoccc", 64, 7, (1,))
     assert ra.counts == rb.counts

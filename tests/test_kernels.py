@@ -23,8 +23,9 @@ from hypothesis import strategies as st
 from qgqec import aqecc, experiments, gf2, sim
 from qgqec.backend import kernels as pure
 from qgqec.cases import CaseId
-from qgqec.rng import ShotStream, first_words
+from qgqec.rng import first_words
 from row_tableau import RowTableau
+from sim_reference import ShotStream
 
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)

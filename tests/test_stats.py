@@ -5,7 +5,6 @@ import random
 import pytest
 
 from qgqec import stats, tables
-from qgqec.cases import CaseId
 from qgqec.circuits import Counts, parse_count_rows
 
 
@@ -97,43 +96,6 @@ def test_summary_validation():
         stats.StatsSummary(1.0, -0.5, 10.0, 2, 10)
     with pytest.raises(ValueError):
         stats.StatsSummary(1.0, 0.5, 120.0, 2, 10)
-
-
-def _fake_report(case, family, mean, variance, eta):
-    from qgqec.experiments import CaseReport
-
-    counts = Counts({"0" * case.m_physical: 10})
-    return CaseReport(
-        case=case,
-        family=family,
-        counts=counts,
-        corrected_shots=10,
-        uncorrected_shots=0,
-        stats=stats.StatsSummary(mean, variance, eta, 1, 10),
-        error_positions=(),
-        seed=1,
-    )
-
-
-def test_comparison_table():
-    qc = _fake_report(CaseId.C1, "aqecc", 10.0, 6.0, 77.5)
-    gt = _fake_report(CaseId.C1, "qoccc", 10.0, 3.25, 83.75)
-    table = stats.comparison_table([(qc, gt)])
-    assert len(table.rows) == 2
-    csv_text = table.to_csv()
-    assert csv_text.splitlines()[0] == "case,P,family,mean,variance,error_rate"
-    assert "aqecc" in csv_text and "qoccc" in csv_text
-    text = table.to_text()
-    assert text.splitlines()[0].startswith("case")
-
-    same = stats.comparison_table([(qc, qc)])
-    assert same.rows[0]["mean"] == same.rows[1]["mean"]
-
-    with pytest.raises(ValueError):
-        stats.comparison_table([])
-    other = _fake_report(CaseId.C2, "qoccc", 1.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        stats.comparison_table([(qc, other)])
 
 
 def test_reference_tables_ingested():
