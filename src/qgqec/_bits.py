@@ -4,7 +4,11 @@ popcount = int.bit_count
 
 
 def bits_to_int(s: str) -> int:
-    """'0'/'1' string, leftmost character most significant."""
+    """'0'/'1' string, leftmost character most significant.  Any other
+    character raises ValueError, including the '_', sign, space and '0b'
+    forms that int(s, 2) would accept."""
+    if s.strip("01"):  # strip stops at the first other character from each end
+        raise ValueError(f"not a '0'/'1' bitstring: {s!r}")
     return int(s, 2) if s else 0
 
 

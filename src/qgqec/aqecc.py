@@ -23,35 +23,9 @@ if TYPE_CHECKING:
 MAX_LOGICAL = 20  # 2^N codeword enumeration cap
 
 
-def correctable_errors(d: int) -> int:
-    """Capability P = floor((d - 1) / 2)."""
-    if d < 1:
-        raise ValueError("distance must be >= 1")
-    return (d - 1) // 2
-
-
-@dataclass(frozen=True)
-class CodeSpec:
-    m_physical: int
-    n_logical: int
-    distance: int
-    capability: int
-
-    def __post_init__(self):
-        if not 1 <= self.n_logical <= self.m_physical:
-            raise ValueError("need 1 <= N <= M")
-        p = self.capability
-        if p != correctable_errors(self.distance):
-            raise ValueError("capability must equal floor((d-1)/2)")
-        if not 2 * p + 1 <= self.distance <= 2 * p + 2:
-            raise ValueError("distance outside [2P+1, 2P+2]")
-
-
 @dataclass(frozen=True)
 class QCCode:
-    spec: CodeSpec
-    base: str
-    stride: int
+    spec: CaseId
     generator_rows: tuple[str, ...]
     checks: tuple[str, ...]
 
@@ -69,6 +43,16 @@ class QCCode:
             if any(gf2.dot(hv, r) for r in rows):
                 raise ValueError("check not orthogonal to generator rows")
 
+    @property
+    def base(self) -> str:
+        """The row whose stride shifts give the others: row j is the base
+        rotated left by j * stride."""
+        return self.generator_rows[0]
+
+    @property
+    def stride(self) -> int:
+        return self.spec.m_physical // self.spec.n_logical
+
     def codewords(self) -> tuple[int, ...]:
         """All 2^N codewords as integers, indexed by logical bits.  Computed
         once per code; every caller shares the one immutable tuple."""
@@ -76,16 +60,9 @@ class QCCode:
 
     @cached_property
     def _codewords(self) -> tuple[int, ...]:
-        n = self.spec.n_logical
-        rows = [bits_to_int(r) for r in self.generator_rows]
-        out = []
-        for l in range(1 << n):
-            v = 0
-            for j in range(n):
-                if l >> (n - 1 - j) & 1:
-                    v ^= rows[j]
-            out.append(v)
-        return tuple(out)
+        # bit n-1-j of the index selects row j, so the last row is vector 0
+        rows = [bits_to_int(r) for r in reversed(self.generator_rows)]
+        return tuple(gf2.span(rows))
 
     def to_json(self) -> str:
         s = self.spec
@@ -134,7 +111,7 @@ def build_qc_code(case) -> QCCode:
     with brute-force distance exactly d.  Built once per case: the result
     is frozen, so every caller shares it.
     """
-    return _build_qc_code(case if isinstance(case, CaseId) else CaseId.parse(case))
+    return _build_qc_code(CaseId.parse(case))
 
 
 @lru_cache(maxsize=None)
@@ -142,23 +119,21 @@ def _build_qc_code(case: CaseId) -> QCCode:
     m, n, d = case.m_physical, case.n_logical, case.distance
     stride = m // n
     if n == 1:
-        base_int = ((1 << d) - 1) << (m - d)
-        row_ints = [base_int]
+        row_ints = [((1 << d) - 1) << (m - d)]
     else:
-        base_int, row_ints = _search_base(m, n, d, stride)
+        row_ints = _search_base(m, n, d, stride)
     rows = tuple(int_to_bits(v, m) for v in row_ints)
     checks = tuple(int_to_bits(h, m) for h in gf2.null_space(row_ints, m))
-    spec = CodeSpec(m, n, d, correctable_errors(d))
-    return QCCode(spec, int_to_bits(base_int, m), stride, rows, checks)
+    return QCCode(case, rows, checks)
 
 
-def _search_base(m: int, n: int, d: int, stride: int) -> tuple[int, list[int]]:
+def _search_base(m: int, n: int, d: int, stride: int) -> list[int]:
     for v in range(1, 1 << m):
         rows = [rotl(v, j * stride, m) for j in range(n)]
         if gf2.rank(rows, m) != n:
             continue
         if min_distance([int_to_bits(r, m) for r in rows]) == d:
-            return v, rows
+            return rows
     raise RuntimeError(
         f"quasi-cyclic base search exhausted for [{m},{n},{d}] stride {stride}; "
         "this indicates a broken preset, not a user error"

@@ -30,7 +30,10 @@ class CaseId(Enum):
         return (self.distance - 1) // 2
 
     @classmethod
-    def parse(cls, text: str) -> "CaseId":
+    def parse(cls, text: "str | CaseId") -> "CaseId":
+        """A case name such as 'c1' or 'C1'; a CaseId is returned as is."""
+        if isinstance(text, cls):
+            return text
         try:
             return cls[text.strip().upper()]
         except KeyError:

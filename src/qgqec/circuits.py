@@ -105,8 +105,12 @@ class Counts:
         """Read ``{"total_shots": n, "counts": {...}}``, as a ``run`` report
         holds it; any other shape raises ValueError or KeyError.  Counts and
         total_shots must be JSON integers: a float, a string or a boolean
-        raises ValueError rather than being coerced."""
-        d = json.loads(text)
+        raises ValueError rather than being coerced, and so does JSON nested
+        past the recursion limit."""
+        try:
+            d = json.loads(text)
+        except RecursionError:
+            raise ValueError("counts JSON is nested too deeply") from None
         if not isinstance(d, dict) or not isinstance(d.get("counts"), dict):
             raise ValueError("counts JSON needs a 'counts' object")
         total = d["total_shots"]
@@ -124,10 +128,14 @@ class Counts:
 
 def parse_count_rows(text: str) -> list[tuple[str, int]]:
     """Read outcome,count CSV preserving duplicate rows verbatim; counts must
-    be non-negative."""
-    reader = csv.reader(io.StringIO(text))
+    be non-negative.  Malformed CSV, such as a field past the csv module's
+    size limit, raises ValueError."""
+    try:
+        records = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        raise ValueError(str(exc)) from None
     rows: list[tuple[str, int]] = []
-    for rec in reader:
+    for rec in records:
         if not rec or rec[0].strip() == "outcome":
             continue
         if len(rec) != 2:

@@ -22,7 +22,7 @@ from qgqec import aqecc, stats, tables
 from qgqec.cases import CaseId
 from qgqec.circuits import STATEVECTOR_QUBIT_CAP, Counts, parse_count_rows
 
-CASE_CHOICES = click.Choice(["c1", "c2", "c3", "c4"], case_sensitive=False)
+CASE_CHOICES = click.Choice([case.name.lower() for case in CaseId], case_sensitive=False)
 # Each flag that sets an amount of work has a maximum, so that every
 # in-range call ends; the help of each names its largest call's time.
 MAX_SHOTS = 1 << 30

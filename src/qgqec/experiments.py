@@ -79,7 +79,7 @@ def check_error_positions(error_positions, m_physical: int) -> tuple[int, ...]:
 def build_case_circuit(case, family: str = "aqecc", error_positions=()) -> Circuit:
     """H on each logical qubit, CNOT fan-out along its generator row, then a
     deterministic X at each injected error position."""
-    case = case if isinstance(case, CaseId) else CaseId.parse(case)
+    case = CaseId.parse(case)
     _check_family(family)
     positions = check_error_positions(error_positions, case.m_physical)
 
@@ -122,7 +122,7 @@ def run_case(case, family: str, shots: int, seed: int, error_positions=()) -> Ca
     """Simulate on the tableau backend and classify every shot."""
     from qgqec import sim
 
-    case = case if isinstance(case, CaseId) else CaseId.parse(case)
+    case = CaseId.parse(case)
     _check_family(family)
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -132,26 +132,18 @@ def run_case(case, family: str, shots: int, seed: int, error_positions=()) -> Ca
     code = aqecc.build_qc_code(case)
 
     mask = _error_mask(positions, case.m_physical)
-    corrected = 0
-    for outcome, count in counts.counts.items():
-        if _is_corrected(code, outcome, mask, len(positions)):
-            corrected += count
-    uncorrected = counts.total_shots - corrected
-
-    summary = stats.StatsSummary(
-        mean=stats.mean_counts(counts),
-        variance=stats.variance_counts(counts),
-        error_rate_percent=100.0 * uncorrected / counts.total_shots,
-        num_outcomes=counts.num_outcomes(),
-        total_counts=counts.total_shots,
-    )
+    failed = {
+        outcome for outcome in counts.counts
+        if not _is_corrected(code, outcome, mask, len(positions))
+    }
+    uncorrected = sum(counts.counts[outcome] for outcome in failed)
     return CaseReport(
         case=case,
         family=family,
         counts=counts,
-        corrected_shots=corrected,
+        corrected_shots=counts.total_shots - uncorrected,
         uncorrected_shots=uncorrected,
-        stats=summary,
+        stats=stats.summarize(counts, lambda outcome, count: outcome in failed),
         error_positions=positions,
         seed=seed,
     )
@@ -193,7 +185,7 @@ def exhaustive_correction_sweep(case, max_weight: int, threads: int | None = Non
     millisecond-scale numpy call, which a thread pool only slowed down."""
     from qgqec.backend import kernels
 
-    case = case if isinstance(case, CaseId) else CaseId.parse(case)
+    case = CaseId.parse(case)
     m = case.m_physical
     if max_weight < 1:
         raise ValueError("max_weight must be >= 1")

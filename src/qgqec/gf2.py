@@ -68,3 +68,15 @@ def null_space(rows: list[int], width: int) -> list[int]:
 def dot(a: int, b: int) -> int:
     """Inner product mod 2 of two bit-masks."""
     return bin(a & b).count("1") % 2
+
+
+def span(vectors: list[int], offset: int = 0) -> list[int]:
+    """Every XOR of a subset of `vectors`, shifted by `offset`, by doubling.
+
+    Entry l is `offset` XOR vectors[i] for each bit i set in l: XOR-ing
+    vectors[i] into the 2^i entries so far gives entries 2^i..2^(i+1)-1.
+    """
+    out = [offset]
+    for v in vectors:
+        out += [x ^ v for x in out]
+    return out

@@ -153,32 +153,31 @@ def generate_cyclic_group(g, n: int) -> CyclicGroupSpec:
     if isinstance(g, np.ndarray) or (
         hasattr(g, "__len__") and g and isinstance(g[0], (list, tuple, np.ndarray))
     ):
-        mat = _require_square(np.asarray(g))
-        ident = np.eye(mat.shape[0])
-        elements = [ident]
-        cur = ident
-        for k in range(1, n + 1):
-            cur = cur @ mat
-            if k < n:
-                if np.allclose(cur, ident, atol=1e-12):
-                    raise ValueError(f"generator order {k} is less than {n}")
-                elements.append(cur)
-        if not np.allclose(cur, ident, atol=1e-12):
-            raise ValueError(f"generator order does not equal {n}")
-        return CyclicGroupSpec(n, mat, elements)
+        gen = _require_square(np.asarray(g))
+        ident = np.eye(gen.shape[0])
 
-    perm = tuple(g)
-    if sorted(perm) != list(range(len(perm))):
-        raise ValueError("not a permutation")
-    ident = tuple(range(len(perm)))
+        def step(cur):
+            return cur @ gen
+
+        def is_ident(cur):
+            return np.allclose(cur, ident, atol=1e-12)
+    else:
+        gen = tuple(g)
+        if sorted(gen) != list(range(len(gen))):
+            raise ValueError("not a permutation")
+        ident = tuple(range(len(gen)))
+
+        def step(cur):
+            return tuple(cur[p] for p in gen)
+
+        def is_ident(cur):
+            return cur == ident
+
     elements = [ident]
-    cur = ident
-    for k in range(1, n + 1):
-        cur = tuple(cur[perm[p]] for p in range(len(perm)))
-        if k < n:
-            if cur == ident:
-                raise ValueError(f"generator order {k} is less than {n}")
-            elements.append(cur)
-    if cur != ident:
+    for k in range(1, n):
+        elements.append(step(elements[-1]))
+        if is_ident(elements[-1]):
+            raise ValueError(f"generator order {k} is less than {n}")
+    if not is_ident(step(elements[-1])):
         raise ValueError(f"generator order does not equal {n}")
-    return CyclicGroupSpec(n, perm, elements)
+    return CyclicGroupSpec(n, gen, elements)

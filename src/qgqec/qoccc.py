@@ -14,9 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from qgqec.cases import CaseId
-
-DENSE_QUBIT_CAP = 16
+from qgqec.circuits import STATEVECTOR_QUBIT_CAP as DENSE_QUBIT_CAP
 
 
 @dataclass(frozen=True)
@@ -185,5 +183,4 @@ def qoccc_encode(case) -> "object":
     CNOT fan-out shared with the quasi-cyclic code construction."""
     from qgqec.experiments import build_case_circuit
 
-    case = case if isinstance(case, CaseId) else CaseId.parse(case)
     return build_case_circuit(case, family="qoccc", error_positions=())

@@ -34,6 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from qgqec import gf2
 from qgqec.backend import kernels
 from qgqec.circuits import STATEVECTOR_QUBIT_CAP, Circuit, Counts, Gate
 from qgqec.rng import first_words
@@ -81,9 +82,8 @@ def tableau_distribution(circuit: Circuit) -> dict[str, float]:
     """Analytic outcome probabilities from the tableau's outcome map.
 
     The support is o0 ^ span(cols), 2^r distinct outcomes of probability
-    2^-r each, so the result is exact (dyadic) in floating point.  It is
-    built by doubling: XOR-ing column i into the 2^i outcomes so far gives
-    outcomes 2^i..2^(i+1)-1, so they come in random-bit index order, as
+    2^-r each, so the result is exact (dyadic) in floating point.
+    ``gf2.span`` lists them in random-bit index order, as
     ``kernels.outcomes_of`` maps the indices 0..2^r-1.
     """
     ops = _clifford_ops(circuit)
@@ -91,11 +91,8 @@ def tableau_distribution(circuit: Circuit) -> dict[str, float]:
     root = kernels.TableauEngine(n)
     root.apply(ops)
     o0, cols = kernels.outcome_map(root)
-    support = [o0]
-    for col in cols:
-        support += [x ^ col for x in support]
     prob = 0.5 ** len(cols)
-    return {_render(out, n): prob for out in support}
+    return {_render(out, n): prob for out in gf2.span(cols, o0)}
 
 
 # -- dense statevector ------------------------------------------------------

@@ -1,14 +1,14 @@
 """Counts statistics: error rate, mean and population variance.
 
-Functions accept a Counts object, a mapping, or an explicit row list of
-(outcome, count) pairs.  Row lists may contain duplicate outcome strings;
+Functions accept a Counts object or an explicit row list of (outcome,
+count) pairs.  Row lists may contain duplicate outcome strings;
 paper tables are ingested that way verbatim, and the mean deliberately
 divides by the number of rows as listed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from qgqec.circuits import Counts
 
@@ -18,10 +18,7 @@ Row = tuple[str, int]
 def as_rows(c) -> list[Row]:
     if isinstance(c, Counts):
         return sorted(c.counts.items())
-    if isinstance(c, dict):
-        return sorted((str(k), int(v)) for k, v in c.items())
-    rows = [(str(o), int(v)) for o, v in c]
-    return rows
+    return [(str(o), int(v)) for o, v in c]
 
 
 @dataclass(frozen=True)
@@ -39,13 +36,7 @@ class StatsSummary:
             raise ValueError("error rate must lie in [0, 100]")
 
     def to_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "variance": self.variance,
-            "error_rate_percent": self.error_rate_percent,
-            "num_outcomes": self.num_outcomes,
-            "total_counts": self.total_counts,
-        }
+        return asdict(self)
 
 
 def mean_counts(c) -> float:

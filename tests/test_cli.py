@@ -336,6 +336,30 @@ def test_stats_decoded_classifier_rejects_bad_errors_like_run(runner, errors, me
     assert f"Error: {message}\n" in run.output
 
 
+# (file name, contents, message): inputs that each once exited 0 or 1
+_MALFORMED_STATS_INPUTS = [
+    ("signs.csv", 'outcome,count\n"0000_001",5\n"+0000001",3\n"-0000001",2\n',
+     "decoded classifier failed: not a '0'/'1' bitstring: '0000_001'"),
+    ("oversized.csv", 'outcome,count\n"' + "0" * 131_073 + '",1\n',
+     "malformed counts input"),
+    ("deep.json", '{"counts": ' + "[" * 100_000 + "]" * 100_000 + "}",
+     "malformed counts input"),
+]
+
+
+@pytest.mark.parametrize("name, text, message", _MALFORMED_STATS_INPUTS,
+                         ids=[name for name, _, _ in _MALFORMED_STATS_INPUTS])
+def test_stats_malformed_input_exits_2(runner, tmp_path, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    result = runner.invoke(main, ["stats", str(path), "--classifier", "decoded",
+                                  "--case", "c1", "--errors", "7"])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert message in result.output
+    assert "Traceback" not in result.output
+
+
 def test_stats_two_column_table_needs_column(runner):
     assert runner.invoke(main, ["stats", "t5"]).exit_code == 2
 
@@ -430,7 +454,7 @@ def stats_inputs(draw, tmp_path):
     pass, written under `tmp_path`."""
     kind = draw(st.sampled_from(["table", "table", "unknown", "csv", "csv", "json", "json",
                                  "json_shape", "json_shape", "binary", "text", "empty",
-                                 "directory"]))
+                                 "directory", "oversized_csv", "deep_json", "not_binary"]))
     if kind == "table":
         return draw(st.sampled_from(tables.table_ids() + ["T1", "t5"]))
     if kind == "unknown":
@@ -445,7 +469,10 @@ def stats_inputs(draw, tmp_path):
         return str(path)
     width = draw(st.integers(1, 6))
     outcome = st.text("01", min_size=width, max_size=width)
-    if kind == "csv":
+    if kind == "not_binary":  # the width of a case, from an alphabet beyond "01"
+        width = draw(st.sampled_from([case.m_physical for case in CaseId]))
+        outcome = st.text("01_+- 2", min_size=width, max_size=width)
+    if kind in ("csv", "not_binary"):
         rows = draw(st.lists(st.tuples(outcome, st.integers(-2, 10 ** 6)), max_size=6))
         data = "outcome,count\n" + "".join(f'"{o}",{c}\n' for o, c in rows)
     elif kind == "json":
@@ -456,6 +483,11 @@ def stats_inputs(draw, tmp_path):
         shape = {"counts": draw(_json_values), "total_shots": draw(_json_values)}
         data = json.dumps({key: shape[key] for key in draw(st.permutations(list(shape)))[
             :draw(st.integers(0, 2))]})
+    elif kind == "oversized_csv":  # one field past the csv module's 131,072 limit
+        data = 'outcome,count\n"' + "0" * draw(st.integers(131_073, 140_000)) + '",1\n'
+    elif kind == "deep_json":  # nested past the recursion limit
+        depth = draw(st.integers(50_000, 100_000))
+        data = '{"counts": ' + "[" * depth + "]" * depth + ', "total_shots": 1}'
     elif kind == "text":
         data = draw(st.text(max_size=40))
     else:

@@ -194,6 +194,10 @@ def test_classify_outcome_equals_string_definition(case, data):
     for bad in (outcome[1:], outcome + "0"):
         with pytest.raises(ValueError, match=f"expected {m} bits"):
             experiments.classify_outcome(code, bad, positions)
+    i = data.draw(st.integers(0, m - 1))
+    for char in "_+- 2":  # int(s, 2) accepts each but '2' at some position
+        with pytest.raises(ValueError, match="not a '0'/'1' bitstring"):
+            experiments.classify_outcome(code, outcome[:i] + char + outcome[i + 1:], positions)
 
 
 @pytest.mark.parametrize("case", list(CaseId))

@@ -2,6 +2,9 @@
 
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from qgqec import gf2
 
 
@@ -57,3 +60,17 @@ def test_dot():
     assert gf2.dot(0b101, 0b100) == 1
     assert gf2.dot(0b101, 0b111) == 0
     assert gf2.dot(0, 0b111) == 0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(0, (1 << 64) - 1), max_size=10), st.integers(0, (1 << 64) - 1))
+def test_span_equals_per_index_definition(vectors, offset):
+    """Entry l is offset XOR vectors[i] for each bit i set in l."""
+    out = gf2.span(vectors, offset)
+    assert len(out) == 1 << len(vectors)
+    for l, entry in enumerate(out):
+        want = offset
+        for i, v in enumerate(vectors):
+            if l >> i & 1:
+                want ^= v
+        assert entry == want

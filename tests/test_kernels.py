@@ -424,7 +424,7 @@ def test_sweep_totals_and_capability(code):
     m, rows = code
     cws = span(rows)
     d = aqecc.min_distance([format(r, f"0{m}b") for r in rows])
-    p = aqecc.correctable_errors(d)
+    p = (d - 1) // 2
     for w in range(0, m + 2):
         cases, corrected = pure.sweep_weight(m, cws, w)
         assert cases == (len(cws) * comb(m, w) if 1 <= w <= m else 0)
