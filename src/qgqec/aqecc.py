@@ -83,10 +83,13 @@ def min_distance(rows: list[str]) -> int:
     """Minimum Hamming weight over all nonzero GF(2) row combinations.
 
     Gray-code enumeration of the 2^N - 1 combinations; returns 0 when the
-    rows are dependent (some nonzero combination cancels).
+    rows are dependent (some nonzero combination cancels).  Rows of unequal
+    length raise ValueError.
     """
     if not rows:
         raise ValueError("need at least one row")
+    if len({len(r) for r in rows}) > 1:
+        raise ValueError("rows must all have the same length")
     ints = [bits_to_int(r) for r in rows]
     if all(v == 0 for v in ints):
         raise ValueError("all rows are zero")

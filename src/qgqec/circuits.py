@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass, field
 
 STATEVECTOR_QUBIT_CAP = 16  # widest circuit the dense statevector engine takes
+PROB_PRUNE = 1e-15  # exact probabilities at or below this are dropped
 
 
 @dataclass(frozen=True)
@@ -120,10 +121,13 @@ class Counts:
         return cls(dict(d["counts"]), total)
 
     def to_csv(self) -> str:
-        lines = ["outcome,count"]
-        for outcome in sorted(self.counts):
-            lines.append(f'"{outcome}",{self.counts[outcome]}')
-        return "\n".join(lines) + "\n"
+        return format_count_rows(sorted(self.counts.items()))
+
+
+def format_count_rows(rows) -> str:
+    """outcome,count CSV with quoted bitstrings, rows in the given order;
+    ``parse_count_rows`` reads it back."""
+    return "outcome,count\n" + "".join(f'"{outcome}",{count}\n' for outcome, count in rows)
 
 
 def parse_count_rows(text: str) -> list[tuple[str, int]]:

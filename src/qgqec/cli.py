@@ -189,13 +189,10 @@ def stats_cmd(input_ref, classifier, reference_id, column, case_name, errors_tex
         except ValueError as exc:
             raise click.UsageError(str(exc))
         try:
-            flags = {
-                outcome: not experiments.classify_outcome(code, outcome, errors)
-                for outcome, _ in rows
-            }
+            failed = experiments.uncorrected_outcomes(code, [outcome for outcome, _ in rows], errors)
         except ValueError as exc:
             raise click.UsageError(f"decoded classifier failed: {exc}")
-        is_error = lambda outcome, count: flags[outcome]  # noqa: E731
+        is_error = lambda outcome, count: outcome in failed  # noqa: E731
 
     try:
         summary = stats.summarize(rows, is_error)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from qgqec import aqecc, stats
 from qgqec.cases import CaseId
-from qgqec.circuits import Circuit, Counts
+from qgqec.circuits import Circuit, Counts, format_count_rows
 
 FAMILIES = ("qoccc", "aqecc")
 
@@ -99,23 +99,30 @@ def build_case_circuit(case, family: str = "aqecc", error_positions=()) -> Circu
 def classify_outcome(code: aqecc.QCCode, outcome: str, error_positions) -> bool:
     """A measured bitstring is corrected iff decoding recovers exactly the
     injected flips and the same logical bits as the error-free string."""
+    return not uncorrected_outcomes(code, (outcome,), error_positions)
+
+
+def uncorrected_outcomes(code: aqecc.QCCode, outcomes, error_positions) -> set[str]:
+    """The outcomes that `classify_outcome` rejects, on integers: those that
+    do not decode at distance len(positions) to the logical index of the
+    outcome with the injected flips undone.  The positions are checked and
+    the flip mask is built once; outcomes raise ValueError in input order."""
     m = code.spec.m_physical
     positions = check_error_positions(error_positions, m)
-    return _is_corrected(code, outcome, _error_mask(positions, m), len(positions))
+    mask, weight = _error_mask(positions, m), len(positions)
+    failed = set()
+    for outcome in outcomes:
+        word = aqecc._received_word(code, outcome)
+        logical, dist = aqecc._nearest(code, word)
+        if dist != weight or logical != aqecc._nearest(code, word ^ mask)[0]:
+            failed.add(outcome)
+    return failed
 
 
 def _error_mask(positions: tuple[int, ...], m: int) -> int:
     """The M-bit word with the injected positions set (position 0 is the
     most significant bit, as in the bitstrings)."""
     return sum(1 << (m - 1 - p) for p in positions)
-
-
-def _is_corrected(code: aqecc.QCCode, outcome: str, error_mask: int, weight: int) -> bool:
-    """`classify_outcome` on integers: the outcome decodes at distance
-    `weight`, to the logical index of the outcome with the flips undone."""
-    word = aqecc._received_word(code, outcome)
-    logical, dist = aqecc._nearest(code, word)
-    return dist == weight and logical == aqecc._nearest(code, word ^ error_mask)[0]
 
 
 def run_case(case, family: str, shots: int, seed: int, error_positions=()) -> CaseReport:
@@ -129,13 +136,7 @@ def run_case(case, family: str, shots: int, seed: int, error_positions=()) -> Ca
     positions = check_error_positions(error_positions, case.m_physical)
     circuit = build_case_circuit(case, family, positions)
     counts = sim.tableau_run(circuit, shots, seed)
-    code = aqecc.build_qc_code(case)
-
-    mask = _error_mask(positions, case.m_physical)
-    failed = {
-        outcome for outcome in counts.counts
-        if not _is_corrected(code, outcome, mask, len(positions))
-    }
+    failed = uncorrected_outcomes(aqecc.build_qc_code(case), counts.counts, positions)
     uncorrected = sum(counts.counts[outcome] for outcome in failed)
     return CaseReport(
         case=case,
@@ -206,7 +207,4 @@ def exhaustive_correction_sweep(case, max_weight: int, threads: int | None = Non
 
 def barchart_csv(counts: Counts) -> str:
     """outcome,count CSV sorted by descending count (ties by outcome)."""
-    rows = sorted(counts.counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    lines = ["outcome,count"]
-    lines += [f'"{outcome}",{count}' for outcome, count in rows]
-    return "\n".join(lines) + "\n"
+    return format_count_rows(sorted(counts.counts.items(), key=lambda kv: (-kv[1], kv[0])))

@@ -8,6 +8,8 @@ reduced echelon form, canonical null-space basis.
 
 from __future__ import annotations
 
+from qgqec._bits import popcount
+
 
 def row_reduce(rows: list[int], width: int) -> tuple[list[int], list[int]]:
     """Reduced row-echelon form over GF(2).
@@ -19,10 +21,15 @@ def row_reduce(rows: list[int], width: int) -> tuple[list[int], list[int]]:
     Returns:
         (reduced_rows, pivot_cols): nonzero rows of the RREF and the pivot
         column index (0 = leftmost) of each, both in scan order.
+
+    Raises:
+        ValueError: a row is negative or has a bit at or past `width`.
     """
     reduced: list[int] = []
     pivot_cols: list[int] = []
     for row in rows:
+        if row >> width:
+            raise ValueError(f"row {row:#b} is wider than {width} columns")
         cur = row
         for p, r in zip(pivot_cols, reduced):
             if cur >> (width - 1 - p) & 1:
@@ -67,7 +74,7 @@ def null_space(rows: list[int], width: int) -> list[int]:
 
 def dot(a: int, b: int) -> int:
     """Inner product mod 2 of two bit-masks."""
-    return bin(a & b).count("1") % 2
+    return popcount(a & b) & 1
 
 
 def span(vectors: list[int], offset: int = 0) -> list[int]:

@@ -1,9 +1,8 @@
 """Group-theoretic scaffolding: orthogonality/unitarity predicates, Hadamard
 layers, quasi-orthogonal perturbations, and verified cyclic generators.
 
-Matrices are plain numpy arrays.  The spectral norm used by
-``orthogonality_defect`` is computed by a fixed-budget power iteration so the
-result is reproducible without any external linear-algebra solver.
+Matrices are plain numpy arrays.  ``orthogonality_defect`` is numpy's exact
+spectral norm (the largest singular value, from an SVD).
 """
 
 from __future__ import annotations
@@ -13,8 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 DENSE_QUBIT_CAP = 12
-_POWER_ITERATIONS = 200
-_POWER_TOL = 1e-12
+SIGN = np.array([[1, 1], [1, -1]])  # the 2x2 Sylvester sign matrix, read-only
+SIGN.flags.writeable = False
 _SKEW_TOL = 1e-12
 
 
@@ -50,8 +49,17 @@ def is_special_unitary(u, tol: float = 1e-12) -> bool:
     return abs(np.linalg.det(u) - 1.0) <= tol
 
 
+def kron_power(base: np.ndarray, n: int) -> np.ndarray:
+    """n-fold Kronecker power base (x) ... (x) base as a new array; [[1]]
+    for n = 0."""
+    out = base.copy() if n else np.ones((1, 1), dtype=base.dtype)
+    for _ in range(n - 1):
+        out = np.kron(out, base)
+    return out
+
+
 def hadamard_matrix() -> np.ndarray:
-    return np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    return SIGN / np.sqrt(2.0)
 
 
 def hadamard_layer(n: int) -> np.ndarray:
@@ -60,11 +68,7 @@ def hadamard_layer(n: int) -> np.ndarray:
         raise ValueError("n must be positive")
     if n > DENSE_QUBIT_CAP:
         raise ValueError(f"n={n} exceeds the dense cap of {DENSE_QUBIT_CAP}")
-    h = hadamard_matrix()
-    out = h
-    for _ in range(n - 1):
-        out = np.kron(out, h)
-    return out
+    return kron_power(hadamard_matrix(), n)
 
 
 def build_quasi_rotation(epsilon: float, m) -> np.ndarray:
@@ -76,32 +80,9 @@ def build_quasi_rotation(epsilon: float, m) -> np.ndarray:
 
 
 def orthogonality_defect(r) -> float:
-    """Spectral norm of R^T R - I (how far R is from orthogonal).
-
-    Power iteration on A^H A with a deterministic all-ones start vector,
-    200 iterations, early stop at relative change 1e-12.
-    """
+    """Spectral norm of R^T R - I (how far R is from orthogonal)."""
     r = _require_square(r)
-    a = r.T @ r - np.eye(r.shape[0])
-    return _spectral_norm(a)
-
-
-def _spectral_norm(a: np.ndarray) -> float:
-    gram = a.conj().T @ a
-    v = np.ones(gram.shape[0]) / np.sqrt(gram.shape[0])
-    lam = 0.0
-    for _ in range(_POWER_ITERATIONS):
-        w = gram @ v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0
-        new_lam = float(np.real(v.conj() @ w))
-        v = w / norm
-        if abs(new_lam - lam) <= _POWER_TOL * max(1.0, abs(new_lam)):
-            lam = new_lam
-            break
-        lam = new_lam
-    return float(np.sqrt(max(lam, 0.0)))
+    return float(np.linalg.norm(r.T @ r - np.eye(r.shape[0]), 2))
 
 
 def cz_epsilon(epsilon: float, form: str = "formula") -> np.ndarray:

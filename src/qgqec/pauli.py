@@ -50,23 +50,21 @@ def identity(num_qubits: int) -> PauliOperator:
 
 def x_operator(num_qubits: int, positions) -> PauliOperator:
     """X on each listed qubit, identity elsewhere."""
-    mask = 0
-    for q in positions:
-        mask |= 1 << _check_qubit(q, num_qubits)
-    return PauliOperator(num_qubits, x_mask=mask)
+    return PauliOperator(num_qubits, x_mask=_qubit_mask(num_qubits, positions))
 
 
 def z_operator(num_qubits: int, positions) -> PauliOperator:
+    return PauliOperator(num_qubits, z_mask=_qubit_mask(num_qubits, positions))
+
+
+def _qubit_mask(n: int, positions) -> int:
+    """Bit q set for each listed qubit q, each checked to lie in 0..n-1."""
     mask = 0
     for q in positions:
-        mask |= 1 << _check_qubit(q, num_qubits)
-    return PauliOperator(num_qubits, z_mask=mask)
-
-
-def _check_qubit(q: int, n: int) -> int:
-    if not 0 <= q < n:
-        raise ValueError(f"qubit {q} out of range for {n} qubits")
-    return q
+        if not 0 <= q < n:
+            raise ValueError(f"qubit {q} out of range for {n} qubits")
+        mask |= 1 << q
+    return mask
 
 
 def pauli_mul(a: PauliOperator, b: PauliOperator) -> PauliOperator:

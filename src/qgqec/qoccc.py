@@ -14,7 +14,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from qgqec.circuits import STATEVECTOR_QUBIT_CAP as DENSE_QUBIT_CAP
+from qgqec._bits import int_to_bits
+from qgqec.circuits import PROB_PRUNE, STATEVECTOR_QUBIT_CAP
+from qgqec.groups import SIGN, kron_power, matrix_csv
 
 
 @dataclass(frozen=True)
@@ -45,7 +47,7 @@ class QoArray:
         m = self.original if which == "original" else self.adjusted
         if m is None:
             raise ValueError("array has no adjusted entries yet")
-        return "\n".join(",".join(repr(float(v)) for v in row) for row in m) + "\n"
+        return matrix_csv(m)
 
 
 @dataclass(frozen=True)
@@ -78,10 +80,7 @@ def walsh_matrix(order: int) -> np.ndarray:
     """Sylvester construction; order must be a power of 2."""
     if order < 1 or order & (order - 1):
         raise ValueError(f"order {order} is not a power of 2")
-    h = np.array([[1]], dtype=int)
-    while h.shape[0] < order:
-        h = np.block([[h, h], [h, -h]])
-    return h
+    return kron_power(SIGN, int(order).bit_length() - 1)
 
 
 def build_1d_ccc(n: int) -> SequenceSet1D:
@@ -160,8 +159,8 @@ def add_redundancy(s: AmplitudeState, num_redundant: int, num_parity: int, num_a
         raise ValueError("qubit counts must be >= 0")
     extra = num_redundant + num_parity + num_aux
     total = s.num_qubits + extra
-    if total > DENSE_QUBIT_CAP:
-        raise ValueError(f"{total} qubits exceeds the dense cap of {DENSE_QUBIT_CAP}")
+    if total > STATEVECTOR_QUBIT_CAP:
+        raise ValueError(f"{total} qubits exceeds the dense cap of {STATEVECTOR_QUBIT_CAP}")
     if extra == 0:
         return s
     amps = np.zeros(1 << total, dtype=complex)
@@ -170,12 +169,10 @@ def add_redundancy(s: AmplitudeState, num_redundant: int, num_parity: int, num_a
 
 
 def probability_amplitudes(s: AmplitudeState) -> dict[str, float]:
-    """|amplitude|^2 per basis state, pruned below 1e-15."""
+    """|amplitude|^2 per basis state, pruned at ``PROB_PRUNE``."""
     n = s.num_qubits
     probs = np.abs(s.amplitudes) ** 2
-    return {
-        format(i, f"0{n}b"): float(p) for i, p in enumerate(probs) if p > 1e-15
-    }
+    return {int_to_bits(i, n): float(p) for i, p in enumerate(probs) if p > PROB_PRUNE}
 
 
 def qoccc_encode(case) -> "object":

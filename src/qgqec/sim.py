@@ -35,11 +35,11 @@ from functools import lru_cache
 import numpy as np
 
 from qgqec import gf2
+from qgqec._bits import int_to_bits
 from qgqec.backend import kernels
-from qgqec.circuits import STATEVECTOR_QUBIT_CAP, Circuit, Counts, Gate
+from qgqec.circuits import PROB_PRUNE, STATEVECTOR_QUBIT_CAP, Circuit, Counts, Gate
 from qgqec.rng import first_words
 
-PROB_PRUNE = 1e-15
 # holds every distinct gate on up to 45 qubits: 3 n + 2 n (n - 1) = 4,095
 GATE_CACHE_SIZE = 4096
 
@@ -176,7 +176,7 @@ def _final_state(circuit: Circuit) -> np.ndarray:
 
 
 def exact_distribution(circuit: Circuit) -> dict[str, float]:
-    """|amplitude|^2 per basis state, pruned below 1e-15, in ascending
+    """|amplitude|^2 per basis state, pruned at ``PROB_PRUNE``, in ascending
     basis-state order.  Keys are rendered for the whole support at once: one
     row of '0'/'1' bytes per index, qubit 0 leftmost, read as a string."""
     flat = _final_state(circuit)
@@ -214,7 +214,7 @@ def statevector_run(circuit: Circuit, shots: int, seed: int) -> Counts:
         totals += np.bincount(idx, minlength=len(cumulative))
     states = np.flatnonzero(totals)
     return Counts(
-        {format(i, f"0{n}b"): c for i, c in zip(states.tolist(), totals[states].tolist())}, shots
+        {int_to_bits(i, n): c for i, c in zip(states.tolist(), totals[states].tolist())}, shots
     )
 
 

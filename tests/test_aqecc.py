@@ -37,6 +37,8 @@ def test_min_distance():
         aqecc.min_distance([])
     with pytest.raises(ValueError):
         aqecc.min_distance(["000"])
+    with pytest.raises(ValueError, match="same length"):
+        aqecc.min_distance(["110", "0001"])
 
 
 def test_min_distance_against_exhaustive_oracle():

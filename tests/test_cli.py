@@ -77,34 +77,42 @@ def test_family_is_only_a_label(runner, case, errors):
     assert reports["qoccc"] == reports["aqecc"]
 
 
-# Runs one command in a fresh interpreter (none for an empty argv) and prints
-# the names of the modules loaded by then, as the last line of stderr.
+# Runs one command in a fresh interpreter (none for an empty argv), or after
+# "--import" only imports the modules named, and prints the names of the
+# modules loaded by then, as the last line of stderr.
 _LIST_MODULES = (
-    "import atexit, json, sys\n"
+    "import atexit, importlib, json, sys\n"
     "atexit.register(lambda: print(json.dumps(sorted(sys.modules)), file=sys.stderr))\n"
-    "from qgqec.cli import main\n"
-    "if sys.argv[1:]:\n"
-    "    main(sys.argv[1:])\n"
+    "if sys.argv[1:2] == ['--import']:\n"
+    "    for name in sys.argv[2:]:\n"
+    "        importlib.import_module(name)\n"
+    "else:\n"
+    "    from qgqec.cli import main\n"
+    "    if sys.argv[1:]:\n"
+    "        main(sys.argv[1:])\n"
 )
 
 
-@pytest.mark.parametrize("argv, simulates", [
-    ([], False),
-    (["stats", "t1"], False),
-    (["stats", "t1", "--classifier", "decoded", "--case", "c1", "--errors", "3"], False),
-    (["export-code", "--case", "c4"], False),
-    (["--help"], False),
-    (["run", "--case", "c1", "--shots", "8"], True),
-], ids=["import", "stats", "stats-decoded", "export-code", "help", "run"])
-def test_only_simulating_commands_load_numpy(argv, simulates):
+@pytest.mark.parametrize("argv, uses_numpy, simulates", [
+    ([], False, False),
+    (["stats", "t1"], False, False),
+    (["stats", "t1", "--classifier", "decoded", "--case", "c1", "--errors", "3"], False, False),
+    (["export-code", "--case", "c4"], False, False),
+    (["--help"], False, False),
+    (["run", "--case", "c1", "--shots", "8"], True, True),
+    (["--import", "qgqec.groups", "qgqec.qoccc"], True, False),
+], ids=["import", "stats", "stats-decoded", "export-code", "help", "run", "paper-math"])
+def test_only_simulating_commands_load_numpy(argv, uses_numpy, simulates):
     src = str(Path(qgqec.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", _LIST_MODULES, *argv],
                           capture_output=True, text=True, env=env, check=True)
     loaded = set(json.loads(done.stderr.splitlines()[-1]))
-    assert {"qgqec.cli", "qgqec.aqecc"} <= loaded
-    assert ("numpy" in loaded) == simulates
+    imported = argv[1:] if argv[:1] == ["--import"] else ["qgqec.cli", "qgqec.aqecc"]
+    assert set(imported) <= loaded
+    assert ("numpy" in loaded) == uses_numpy
     assert ("qgqec.sim" in loaded) == simulates
+    assert ("qgqec._kernels_py" in loaded) == simulates
     assert "qgqec.pauli" not in loaded
 
 

@@ -191,6 +191,10 @@ def test_classify_outcome_equals_string_definition(case, data):
                                          max_size=case.capability + 2)))
     assert experiments.classify_outcome(code, outcome, positions) == \
         string_classify_reference(code, outcome, positions)
+    batch = [outcome] + data.draw(st.lists(st.text("01", min_size=m, max_size=m), max_size=6))
+    assert experiments.uncorrected_outcomes(code, batch, positions) == \
+        {o for o in batch if not experiments.classify_outcome(code, o, positions)} == \
+        {o for o in batch if not string_classify_reference(code, o, positions)}
     for bad in (outcome[1:], outcome + "0"):
         with pytest.raises(ValueError, match=f"expected {m} bits"):
             experiments.classify_outcome(code, bad, positions)

@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -54,6 +55,10 @@ def test_null_space_of_empty_and_full():
     assert gf2.null_space([], 3) == [0b100, 0b010, 0b001]
     full = [0b100, 0b010, 0b001]
     assert gf2.null_space(full, 3) == []
+    for rows in ([0b111], [0b01, 0b100], [-1]):  # a bit at or past column 2
+        for call in (gf2.row_reduce, gf2.rank, gf2.null_space):
+            with pytest.raises(ValueError, match="wider than 2 columns"):
+                call(rows, 2)
 
 
 def test_dot():

@@ -79,14 +79,23 @@ def test_orthogonality_defect_examples():
     assert groups.orthogonality_defect(groups.hadamard_matrix()) < 1e-12
 
 
-def test_power_iteration_agrees_with_svd():
+def test_orthogonality_defect_equals_svd():
     rnd = np.random.default_rng(42)
     for _ in range(50):
         dim = int(rnd.integers(2, 9))
         a = rnd.uniform(-2.0, 2.0, size=(dim, dim))
         expected = float(np.linalg.svd(a.T @ a - np.eye(dim), compute_uv=False)[0])
-        # fixed-budget power iteration: near-degenerate spectra converge slowly
-        assert abs(groups.orthogonality_defect(a) - expected) < 1e-6 * max(1.0, expected)
+        assert abs(groups.orthogonality_defect(a) - expected) < 1e-12 * max(1.0, expected)
+
+
+def test_orthogonality_defect_sees_a_defect_orthogonal_to_all_ones():
+    # the all-ones vector spans the null space of this M, so R^T R - I =
+    # eps^2 M^T M vanishes on it although its norm is eps^2 * 3 = 0.03
+    m = np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]])
+    r = groups.build_quasi_rotation(0.1, m)
+    expected = float(np.linalg.norm(r.T @ r - np.eye(3), 2))
+    assert abs(expected - 0.03) < 1e-12
+    assert abs(groups.orthogonality_defect(r) - expected) < 1e-12
 
 
 def test_quasi_rotation_defect_bound_and_determinant():
