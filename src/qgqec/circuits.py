@@ -72,9 +72,6 @@ class Circuit:
         self.gates.append(Gate("U", qubits, matrix))
         return self
 
-    def __repr__(self) -> str:
-        return f"Circuit(num_qubits={self.num_qubits}, gates={len(self.gates)})"
-
 
 @dataclass(frozen=True)
 class Counts:
@@ -130,10 +127,21 @@ def format_count_rows(rows) -> str:
     return "outcome,count\n" + "".join(f'"{outcome}",{count}\n' for outcome, count in rows)
 
 
+def parse_int(text: str) -> int:
+    """A plain decimal integer: an optional '-' and ASCII digits, with
+    surrounding whitespace allowed.  ``int`` alone would also take '1_0',
+    '+3' and non-ASCII digits; they raise ValueError here."""
+    digits = text.strip()
+    body = digits[1:] if digits.startswith("-") else digits
+    if not (body.isascii() and body.isdigit()):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(digits)
+
+
 def parse_count_rows(text: str) -> list[tuple[str, int]]:
     """Read outcome,count CSV preserving duplicate rows verbatim; counts must
-    be non-negative.  Malformed CSV, such as a field past the csv module's
-    size limit, raises ValueError."""
+    be non-negative decimal integers (``parse_int``).  Malformed CSV, such as
+    a field past the csv module's size limit, raises ValueError."""
     try:
         records = list(csv.reader(io.StringIO(text)))
     except csv.Error as exc:
@@ -144,7 +152,7 @@ def parse_count_rows(text: str) -> list[tuple[str, int]]:
             continue
         if len(rec) != 2:
             raise ValueError(f"malformed counts row: {rec!r}")
-        count = int(rec[1])
+        count = parse_int(rec[1])
         if count < 0:
             raise ValueError(f"negative count in row {rec!r}")
         rows.append((rec[0].strip(), count))

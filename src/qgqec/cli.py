@@ -20,7 +20,7 @@ import click
 
 from qgqec import aqecc, stats, tables
 from qgqec.cases import CaseId
-from qgqec.circuits import STATEVECTOR_QUBIT_CAP, Counts, parse_count_rows
+from qgqec.circuits import STATEVECTOR_QUBIT_CAP, Counts, parse_count_rows, parse_int
 
 CASE_CHOICES = click.Choice([case.name.lower() for case in CaseId], case_sensitive=False)
 # Each flag that sets an amount of work has a maximum, so that every
@@ -43,7 +43,7 @@ def _parse_errors(text: str | None) -> tuple[int, ...]:
     if not text:
         return ()
     try:
-        return tuple(int(p) for p in text.replace(" ", "").split(",") if p != "")
+        return tuple(parse_int(p) for p in text.replace(" ", "").split(",") if p != "")
     except ValueError:
         raise click.UsageError(f"--errors must be a comma list of integers, got {text!r}")
 
@@ -166,7 +166,8 @@ def _load_rows(input_ref: str, column: str | None):
 @click.option("--classifier", type=click.Choice(["argmax", "decoded"]), default="argmax", show_default=True)
 @click.option("--reference", "reference_id", default=None, help="Paper table id (t1..t8) to compare against.")
 @click.option("--column", type=click.Choice(["qc", "gt"], case_sensitive=False), default=None,
-              help="Column for two-column tables.")
+              help="Column of a two-column input and --reference table; without it, a "
+                   "two-column --reference is read from its QC column.")
 @click.option("--case", "case_name", type=CASE_CHOICES, default=None, help="Code for the decoded classifier.")
 @click.option("--errors", "errors_text", default=None, help="Injected positions for the decoded classifier.")
 def stats_cmd(input_ref, classifier, reference_id, column, case_name, errors_text):

@@ -24,15 +24,6 @@ def _require_square(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def matrix_csv(a) -> str:
-    """Row-major CSV rendering, for debugging."""
-    a = np.asarray(a)
-    if a.ndim != 2:
-        raise ValueError("expected a 2-D matrix")
-    cast = complex if np.iscomplexobj(a) else float
-    return "\n".join(",".join(repr(cast(v)) for v in row) for row in a) + "\n"
-
-
 def is_orthogonal(a, tol: float = 1e-12) -> bool:
     """True iff max-entry |A^T A - I| <= tol."""
     a = _require_square(a)

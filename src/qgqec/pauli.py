@@ -34,18 +34,11 @@ class PauliOperator:
         if self.phase not in _PHASE_EXP:
             raise ValueError(f"phase must be one of +1, +i, -1, -i, got {self.phase}")
 
-    def __mul__(self, other: "PauliOperator") -> "PauliOperator":
-        return pauli_mul(self, other)
-
     def __str__(self) -> str:
         return to_label(self)
 
     def is_identity(self) -> bool:
         return self.x_mask == 0 and self.z_mask == 0 and self.phase == 1
-
-
-def identity(num_qubits: int) -> PauliOperator:
-    return PauliOperator(num_qubits)
 
 
 def x_operator(num_qubits: int, positions) -> PauliOperator:

@@ -8,7 +8,6 @@ a tensor amplitude state with optional redundant/parity/auxiliary qubits.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from qgqec._bits import int_to_bits
 from qgqec.circuits import PROB_PRUNE, STATEVECTOR_QUBIT_CAP
-from qgqec.groups import SIGN, kron_power, matrix_csv
+from qgqec.groups import SIGN, kron_power
 
 
 @dataclass(frozen=True)
@@ -43,12 +42,6 @@ class QoArray:
         if self.adjusted is not None and self.adjusted.shape != (self.n, self.n):
             raise ValueError("adjusted must be N x N")
 
-    def to_csv(self, which: str = "original") -> str:
-        m = self.original if which == "original" else self.adjusted
-        if m is None:
-            raise ValueError("array has no adjusted entries yet")
-        return matrix_csv(m)
-
 
 @dataclass(frozen=True)
 class AmplitudeState:
@@ -60,20 +53,6 @@ class AmplitudeState:
             raise ValueError("num_qubits must be positive")
         if self.amplitudes.shape != (1 << self.num_qubits,):
             raise ValueError("amplitude vector must have length 2^num_qubits")
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "num_qubits": self.num_qubits,
-                "amplitudes": [[float(a.real), float(a.imag)] for a in self.amplitudes],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "AmplitudeState":
-        d = json.loads(text)
-        amps = np.array([complex(re, im) for re, im in d["amplitudes"]])
-        return cls(int(d["num_qubits"]), amps)
 
 
 def walsh_matrix(order: int) -> np.ndarray:
@@ -139,7 +118,8 @@ def adjust_gram_schmidt(a: QoArray) -> QoArray:
 
 
 def expand_state(a: QoArray, use_adjusted: bool = False) -> AmplitudeState:
-    """|entries| as amplitudes on |i> (x) |j>, normalized to unit 2-norm."""
+    """The entries, signs kept, as amplitudes on |i> (x) |j> (row-major),
+    divided by their 2-norm: [[1, -1], [1, 1]] gives [.5, -.5, .5, .5]."""
     entries = a.adjusted if use_adjusted else a.original
     if entries is None:
         raise ValueError("array has no adjusted entries yet")
@@ -173,11 +153,3 @@ def probability_amplitudes(s: AmplitudeState) -> dict[str, float]:
     n = s.num_qubits
     probs = np.abs(s.amplitudes) ** 2
     return {int_to_bits(i, n): float(p) for i, p in enumerate(probs) if p > PROB_PRUNE}
-
-
-def qoccc_encode(case) -> "object":
-    """Encoding circuit for a case: H layer on the logical qubits plus the
-    CNOT fan-out shared with the quasi-cyclic code construction."""
-    from qgqec.experiments import build_case_circuit
-
-    return build_case_circuit(case, family="qoccc", error_positions=())

@@ -42,6 +42,7 @@ from qgqec.rng import first_words
 
 # holds every distinct gate on up to 45 qubits: 3 n + 2 n (n - 1) = 4,095
 GATE_CACHE_SIZE = 4096
+TV_TOLERANCE = 1e-9  # largest total variation backend_equivalence accepts
 
 _OPCODE = {"H": kernels.OP_H, "X": kernels.OP_X, "Z": kernels.OP_Z,
            "CNOT": kernels.OP_CNOT, "CZ": kernels.OP_CZ}
@@ -268,15 +269,10 @@ def total_variation(p: dict[str, float], q: dict[str, float]) -> float:
     return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
 
 
-def backend_equivalence(
-    num_circuits: int = 200,
-    max_qubits: int = 8,
-    max_gates: int = 40,
-    seed: int = 20240,
-    tolerance: float = 1e-9,
-) -> dict:
+def backend_equivalence(num_circuits: int, max_qubits: int, max_gates: int, seed: int) -> dict:
     """Compare tableau-derived probabilities against the dense oracle on
-    seeded random Clifford circuits.  Returns a summary report."""
+    seeded random Clifford circuits; a circuit fails when their total
+    variation exceeds ``TV_TOLERANCE``.  Returns a summary report."""
     worst = 0.0
     failures = []
     for i in range(num_circuits):
@@ -286,12 +282,12 @@ def backend_equivalence(
         circuit = random_clifford_circuit(n, g, seed=rnd.randrange(1 << 62))
         tv = total_variation(tableau_distribution(circuit), exact_distribution(circuit))
         worst = max(worst, tv)
-        if tv > tolerance:
+        if tv > TV_TOLERANCE:
             failures.append({"circuit": i, "qubits": n, "gates": g, "tv": tv})
     return {
         "circuits": num_circuits,
         "worst_tv": worst,
-        "tolerance": tolerance,
+        "tolerance": TV_TOLERANCE,
         "failures": failures,
         "passed": not failures,
     }

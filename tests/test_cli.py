@@ -56,6 +56,11 @@ def test_run_invalid_errors_exit_2(runner):
     assert runner.invoke(main, ["run", "--case", "c1", "--errors", "9"]).exit_code == 2
     assert runner.invoke(main, ["run", "--case", "c1", "--errors", "1,1"]).exit_code == 2
     assert runner.invoke(main, ["run", "--case", "c1", "--errors", "a,b"]).exit_code == 2
+    # int() would read each of these as a position in 0..7
+    for errors in ("+3", "\u0663", "0_1"):
+        result = runner.invoke(main, ["run", "--case", "c1", "--errors", errors])
+        assert result.exit_code == 2
+        assert f"--errors must be a comma list of integers, got {errors!r}" in result.output
     assert runner.invoke(main, ["run", "--case", "c1", "--shots", "0"]).exit_code == 2
 
 
@@ -352,6 +357,12 @@ _MALFORMED_STATS_INPUTS = [
      "malformed counts input"),
     ("deep.json", '{"counts": ' + "[" * 100_000 + "]" * 100_000 + "}",
      "malformed counts input"),
+    # counts that int() would accept; only the count is at fault
+    ("underscore.csv", 'outcome,count\n"00000000", 4 \n"00000001",1_0\n',
+     "malformed counts input"),
+    ("plus.csv", 'outcome,count\n"00000000", 4 \n"00000001",+3\n', "malformed counts input"),
+    ("arabic_indic.csv", 'outcome,count\n"00000000", 4 \n"00000001",\u0663\n',
+     "malformed counts input"),
 ]
 
 
@@ -359,7 +370,7 @@ _MALFORMED_STATS_INPUTS = [
                          ids=[name for name, _, _ in _MALFORMED_STATS_INPUTS])
 def test_stats_malformed_input_exits_2(runner, tmp_path, name, text, message):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     result = runner.invoke(main, ["stats", str(path), "--classifier", "decoded",
                                   "--case", "c1", "--errors", "7"])
     assert result.exit_code == 2
@@ -370,6 +381,16 @@ def test_stats_malformed_input_exits_2(runner, tmp_path, name, text, message):
 
 def test_stats_two_column_table_needs_column(runner):
     assert runner.invoke(main, ["stats", "t5"]).exit_code == 2
+    result = runner.invoke(main, ["stats", "t5", "--reference", "t5"])
+    assert result.exit_code == 2
+    assert "pick one" in result.output
+
+
+def test_stats_two_column_reference_defaults_to_qc(runner):
+    """t5's QC and GT rows share the mean 10.0; the variance tells them apart."""
+    lines = invoke(runner, ["stats", "t1", "--reference", "t5"]).output.splitlines()
+    assert lines[1].startswith("variance: ")
+    assert lines[1].endswith("paper: 6.0 | DISCREPANCY")
 
 
 def test_stats_single_outcome_file(runner, tmp_path):

@@ -11,14 +11,6 @@ def random_skew(rnd, dim):
     return np.triu(upper, 1) - np.triu(upper, 1).T
 
 
-def test_matrix_csv():
-    text = groups.matrix_csv(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    assert text == "1.0,2.0\n3.0,4.0\n"
-    assert "1j" in groups.matrix_csv(np.diag([1j, -1j]))
-    with pytest.raises(ValueError):
-        groups.matrix_csv(np.ones(3))
-
-
 def test_is_orthogonal():
     assert groups.is_orthogonal(np.eye(4), 1e-12)
     assert groups.is_orthogonal(groups.hadamard_matrix(), 1e-12)

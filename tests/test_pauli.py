@@ -63,9 +63,9 @@ def test_mul_matches_dense_oracle_one_and_two_qubits():
 
 def test_mul_mismatch_raises():
     with pytest.raises(ValueError):
-        pauli_mul(pauli.identity(2), pauli.identity(3))
+        pauli_mul(PauliOperator(2), PauliOperator(3))
     with pytest.raises(ValueError):
-        commutes(pauli.identity(2), pauli.identity(3))
+        commutes(PauliOperator(2), PauliOperator(3))
 
 
 def test_associativity_exhaustive_small_and_random_large():
@@ -98,7 +98,7 @@ def test_commutes_all_256_single_qubit_pairs():
 def test_commutes_examples():
     assert not commutes(from_label("+X"), from_label("+Z"))
     assert commutes(from_label("+XX"), from_label("+ZZ"))
-    ident = pauli.identity(3)
+    ident = PauliOperator(3)
     rnd = random.Random(3)
     for _ in range(20):
         assert commutes(ident, random_pauli(rnd, 3))
@@ -139,7 +139,7 @@ def test_apply_to_basis_matches_dense_oracle():
 
 def test_apply_to_basis_length_mismatch():
     with pytest.raises(ValueError):
-        apply_to_basis(pauli.identity(2), "010")
+        apply_to_basis(PauliOperator(2), "010")
 
 
 def test_label_round_trip_and_grammar():

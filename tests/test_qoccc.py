@@ -1,8 +1,6 @@
 """QOCCC pipeline tests: Walsh sets, adjustment variants, state expansion."""
 
 import itertools
-import json
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -110,6 +108,9 @@ def test_expand_state_examples():
     assert set(probs) == {"00", "01", "10", "11"}
     assert all(abs(p - 0.25) < 1e-12 for p in probs.values())
 
+    signed = qoccc.expand_state(qoccc.QoArray(2, np.array([[1.0, -1.0], [1.0, 1.0]])))
+    np.testing.assert_array_equal(signed.amplitudes, [0.5, -0.5, 0.5, 0.5])
+
     with pytest.raises(ValueError):
         qoccc.expand_state(qoccc.QoArray(2, np.zeros((2, 2))))
     with pytest.raises(ValueError):
@@ -171,30 +172,3 @@ def test_add_redundancy_preserves_marginals():
     for key, p in before.items():
         assert abs(marginal[key] - p) < 1e-12
 
-
-def test_amplitude_state_json_round_trip():
-    state = qoccc.AmplitudeState(2, np.array([0.5, 0.5j, -0.5, -0.5j]))
-    parsed = json.loads(state.to_json())
-    assert parsed["num_qubits"] == 2
-    again = qoccc.AmplitudeState.from_json(state.to_json())
-    np.testing.assert_array_equal(again.amplitudes, state.amplitudes)
-
-
-def test_qoarray_csv():
-    arr = qoccc.QoArray(2, np.array([[1.0, 2.0], [3.0, 4.0]]))
-    assert arr.to_csv() == "1.0,2.0\n3.0,4.0\n"
-    with pytest.raises(ValueError):
-        arr.to_csv("adjusted")
-
-
-def test_qoccc_encode_circuits():
-    c1 = qoccc.qoccc_encode("C1")
-    assert c1.num_qubits == 8
-    assert Counter(g.name for g in c1.gates)["H"] == 3
-    c3 = qoccc.qoccc_encode("C3")
-    assert c3.num_qubits == 13
-    assert Counter(g.name for g in c3.gates)["H"] == 1
-    c4 = qoccc.qoccc_encode("C4")
-    assert c4.num_qubits == 29
-    with pytest.raises(ValueError):
-        qoccc.qoccc_encode("C9")

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from qgqec import stats, tables
+from qgqec.cases import CaseId
 from qgqec.circuits import Counts, parse_count_rows
 
 
@@ -109,6 +110,15 @@ def test_reference_tables_ingested():
         tables.reference_for("t5")  # needs a column
     with pytest.raises(ValueError):
         tables.get_table("t11")
+
+
+def test_reference_capability_is_the_case_capability():
+    """The P entries of Tables 9 and 10 stay verbatim, and each equals the
+    capability (d - 1) // 2 of its case record."""
+    for case in CaseId:
+        assert tables.REFERENCE_QOCCC[case.name]["P"] == case.capability
+        for column in ("GT", "QC"):
+            assert tables.REFERENCE_AQECC[case.name][column]["P"] == case.capability
 
 
 def test_paper_table_shapes():
