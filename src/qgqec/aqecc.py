@@ -27,7 +27,6 @@ MAX_LOGICAL = 20  # 2^N codeword enumeration cap
 class QCCode:
     spec: CaseId
     generator_rows: tuple[str, ...]
-    checks: tuple[str, ...]
 
     def __post_init__(self):
         m, n = self.spec.m_physical, self.spec.n_logical
@@ -38,10 +37,6 @@ class QCCode:
             raise ValueError("generator rows are linearly dependent")
         if min_distance(list(self.generator_rows)) != self.spec.distance:
             raise ValueError("brute-force distance does not match spec")
-        for h in self.checks:
-            hv = bits_to_int(h)
-            if any(gf2.dot(hv, r) for r in rows):
-                raise ValueError("check not orthogonal to generator rows")
 
     @property
     def base(self) -> str:
@@ -52,6 +47,14 @@ class QCCode:
     @property
     def stride(self) -> int:
         return self.spec.m_physical // self.spec.n_logical
+
+    @cached_property
+    def checks(self) -> tuple[str, ...]:
+        """The canonical GF(2) null-space basis of the rows, as bitstrings:
+        each check is orthogonal to every generator row."""
+        m = self.spec.m_physical
+        rows = [bits_to_int(r) for r in self.generator_rows]
+        return tuple(int_to_bits(h, m) for h in gf2.null_space(rows, m))
 
     def codewords(self) -> tuple[int, ...]:
         """All 2^N codewords as integers, indexed by logical bits.  Computed
@@ -125,9 +128,7 @@ def _build_qc_code(case: CaseId) -> QCCode:
         row_ints = [((1 << d) - 1) << (m - d)]
     else:
         row_ints = _search_base(m, n, d, stride)
-    rows = tuple(int_to_bits(v, m) for v in row_ints)
-    checks = tuple(int_to_bits(h, m) for h in gf2.null_space(row_ints, m))
-    return QCCode(case, rows, checks)
+    return QCCode(case, tuple(int_to_bits(v, m) for v in row_ints))
 
 
 def _search_base(m: int, n: int, d: int, stride: int) -> list[int]:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from enum import Enum
 
+FAMILIES = ("qoccc", "aqecc")  # labels only: both run the same circuit
+
 
 class CaseId(Enum):
     """C1..C4: (logical N, physical M, distance d); capability P = (d-1)//2."""

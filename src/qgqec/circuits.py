@@ -103,10 +103,10 @@ class Counts:
         """Read ``{"total_shots": n, "counts": {...}}``, as a ``run`` report
         holds it; any other shape raises ValueError or KeyError.  Counts and
         total_shots must be JSON integers: a float, a string or a boolean
-        raises ValueError rather than being coerced, and so does JSON nested
-        past the recursion limit."""
+        raises ValueError rather than being coerced, and so do a repeated key
+        in any object and JSON nested past the recursion limit."""
         try:
-            d = json.loads(text)
+            d = json.loads(text, object_pairs_hook=_unique_keys)
         except RecursionError:
             raise ValueError("counts JSON is nested too deeply") from None
         if not isinstance(d, dict) or not isinstance(d.get("counts"), dict):
@@ -119,6 +119,17 @@ class Counts:
 
     def to_csv(self) -> str:
         return format_count_rows(sorted(self.counts.items()))
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; a repeated key raises ValueError, where
+    ``json`` alone would keep only its last value."""
+    d = {}
+    for key, value in pairs:
+        if key in d:
+            raise ValueError(f"repeated key {json.dumps(key)} in counts JSON")
+        d[key] = value
+    return d
 
 
 def format_count_rows(rows) -> str:

@@ -1,7 +1,10 @@
 """Command-line front end: run cases, sweeps, statistics, code export, and
-the simulator cross-validation suite.  The simulating modules (and with
-them numpy) are imported inside the commands that use them, so ``stats``,
-``export-code`` and ``--help`` start without them.
+the simulator cross-validation suite.  Only ``cases`` and ``circuits`` are
+imported up front; every other library module is imported inside the
+commands that use it (the simulating ones, and with them numpy, in ``run``,
+``sweep`` and ``backends-check``), so ``--help`` loads none of them and
+``stats`` and ``export-code`` load no numpy.  Every integer option, and
+QGQEC_SEED, is read as a plain decimal (``circuits.parse_int``).
 
 Exit codes: 0 success (including scientific findings such as capability
 exceeded), 2 configuration/input errors, 1 internal failures.  Identical
@@ -18,8 +21,7 @@ from pathlib import Path
 
 import click
 
-from qgqec import aqecc, stats, tables
-from qgqec.cases import CaseId
+from qgqec.cases import FAMILIES, CaseId
 from qgqec.circuits import STATEVECTOR_QUBIT_CAP, Counts, parse_count_rows, parse_int
 
 CASE_CHOICES = click.Choice([case.name.lower() for case in CaseId], case_sensitive=False)
@@ -28,9 +30,28 @@ CASE_CHOICES = click.Choice([case.name.lower() for case in CaseId], case_sensiti
 MAX_SHOTS = 1 << 30
 MAX_CIRCUITS = 10_000
 MAX_GATES = 1_000
+
+
+class DecimalInt(click.types.IntParamType):
+    """click's INTEGER read with ``parse_int``: '1_0', '+3' and non-ASCII
+    digits, which int() takes, fail as any non-integer text does."""
+
+    def convert(self, value, param, ctx):
+        if isinstance(value, str):
+            try:
+                value = parse_int(value)
+            except ValueError:
+                self.fail(f"{value!r} is not a valid {self.name}.", param, ctx)
+        return super().convert(value, param, ctx)
+
+
+class DecimalIntRange(DecimalInt, click.IntRange):
+    """click's INTEGER RANGE, read the same way."""
+
+
 _seed_option = click.option(
     "--seed",
-    type=int,
+    type=DecimalInt(),
     default=42,
     envvar="QGQEC_SEED",
     show_default=True,
@@ -72,10 +93,10 @@ def main():
 
 @main.command()
 @click.option("--case", "case_name", type=CASE_CHOICES, required=True)
-@click.option("--family", type=click.Choice(["qoccc", "aqecc"]), default="aqecc", show_default=True,
+@click.option("--family", type=click.Choice(FAMILIES), default="aqecc", show_default=True,
               help="A label only: both families run the same quasi-cyclic circuit, and their "
                    "reports differ only in the family field.")
-@click.option("--shots", type=click.IntRange(1, MAX_SHOTS), default=1024, show_default=True,
+@click.option("--shots", type=DecimalIntRange(1, MAX_SHOTS), default=1024, show_default=True,
               help="At most 2^30, which takes about 18 s on a 2-vCPU Xeon host.")
 @_seed_option
 @click.option("--errors", "errors_text", default=None, help="Comma list of error positions, e.g. 0,1,2.")
@@ -106,8 +127,8 @@ def run(case_name, family, shots, seed, errors_text, out_path, fmt, barchart_pat
 
 @main.command()
 @click.option("--case", "case_name", type=CASE_CHOICES, required=True)
-@click.option("--max-weight", type=int, default=None, help="Defaults to the case capability P.")
-@click.option("--threads", type=int, default=None,
+@click.option("--max-weight", type=DecimalInt(), default=None, help="Defaults to the case capability P.")
+@click.option("--threads", type=DecimalInt(), default=None,
               help="Accepted for compatibility; the sweep runs on one thread.")
 @click.option("--out", "out_path", default=None, callback=_path_given,
               help="Optional JSON summary file.")
@@ -137,6 +158,8 @@ def sweep(case_name, max_weight, threads, out_path):
 
 def _load_rows(input_ref: str, column: str | None):
     """Counts rows from an embedded table id or an outcome,count/JSON file."""
+    from qgqec import stats, tables
+
     if input_ref.lower() in tables.COUNT_TABLES:
         table = tables.get_table(input_ref)
         needs_col = len(table.columns) > 1
@@ -172,6 +195,8 @@ def _load_rows(input_ref: str, column: str | None):
 @click.option("--errors", "errors_text", default=None, help="Injected positions for the decoded classifier.")
 def stats_cmd(input_ref, classifier, reference_id, column, case_name, errors_text):
     """Mean, population variance, and error rate of a counts table."""
+    from qgqec import stats, tables
+
     rows, table = _load_rows(input_ref, column)
 
     if classifier == "argmax":
@@ -181,7 +206,7 @@ def stats_cmd(input_ref, classifier, reference_id, column, case_name, errors_tex
             case_name = table.case
         if case_name is None:
             raise click.UsageError("--classifier decoded needs --case")
-        from qgqec import experiments
+        from qgqec import aqecc, experiments
 
         code = aqecc.build_qc_code(CaseId.parse(case_name))
         try:
@@ -231,15 +256,17 @@ def stats_cmd(input_ref, classifier, reference_id, column, case_name, errors_tex
               help="Output file (stdout when omitted).")
 def export_code(case_name, out_path):
     """Write the quasi-cyclic code for a case as JSON."""
+    from qgqec import aqecc
+
     code = aqecc.build_qc_code(CaseId.parse(case_name))
     _write_output(out_path, code.to_json() + "\n")
 
 
 @main.command(name="backends-check")
-@click.option("--circuits", type=click.IntRange(0, MAX_CIRCUITS), default=200, show_default=True)
-@click.option("--max-qubits", type=click.IntRange(1, STATEVECTOR_QUBIT_CAP), default=8,
+@click.option("--circuits", type=DecimalIntRange(0, MAX_CIRCUITS), default=200, show_default=True)
+@click.option("--max-qubits", type=DecimalIntRange(1, STATEVECTOR_QUBIT_CAP), default=8,
               show_default=True)
-@click.option("--max-gates", type=click.IntRange(1, MAX_GATES), default=40, show_default=True)
+@click.option("--max-gates", type=DecimalIntRange(1, MAX_GATES), default=40, show_default=True)
 @_seed_option
 def backends_check(circuits, max_qubits, max_gates, seed):
     """Cross-validate the tableau engine against the dense oracle.

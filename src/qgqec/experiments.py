@@ -7,10 +7,8 @@ import json
 from dataclasses import dataclass
 
 from qgqec import aqecc, stats
-from qgqec.cases import CaseId
+from qgqec.cases import FAMILIES, CaseId
 from qgqec.circuits import Circuit, Counts, format_count_rows
-
-FAMILIES = ("qoccc", "aqecc")
 
 
 @dataclass(frozen=True)
@@ -19,14 +17,13 @@ class CaseReport:
     family: str
     counts: Counts
     corrected_shots: int
-    uncorrected_shots: int
     stats: stats.StatsSummary
     error_positions: tuple[int, ...]
     seed: int
 
-    def __post_init__(self):
-        if self.corrected_shots + self.uncorrected_shots != self.counts.total_shots:
-            raise ValueError("corrected + uncorrected must equal total_shots")
+    @property
+    def uncorrected_shots(self) -> int:
+        return self.counts.total_shots - self.corrected_shots
 
     def to_json(self) -> str:
         payload = {
@@ -43,12 +40,6 @@ class CaseReport:
         return json.dumps(payload, sort_keys=True)
 
 
-def _check_family(family: str) -> str:
-    if family not in FAMILIES:
-        raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
-    return family
-
-
 def logical_positions(code: aqecc.QCCode) -> list[int]:
     """One physical position per logical qubit: the smallest support index of
     its generator row that no other row touches."""
@@ -57,7 +48,7 @@ def logical_positions(code: aqecc.QCCode) -> list[int]:
     ]
     out = []
     for j, support in enumerate(supports):
-        others = set().union(*(s for i, s in enumerate(supports) if i != j)) if len(supports) > 1 else set()
+        others = set().union(*(s for i, s in enumerate(supports) if i != j))
         own = sorted(support - others)
         if not own:
             raise RuntimeError(f"generator row {j} has no private support position")
@@ -80,7 +71,8 @@ def build_case_circuit(case, family: str = "aqecc", error_positions=()) -> Circu
     """H on each logical qubit, CNOT fan-out along its generator row, then a
     deterministic X at each injected error position."""
     case = CaseId.parse(case)
-    _check_family(family)
+    if family not in FAMILIES:
+        raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
     positions = check_error_positions(error_positions, case.m_physical)
 
     code = aqecc.build_qc_code(case)
@@ -97,8 +89,9 @@ def build_case_circuit(case, family: str = "aqecc", error_positions=()) -> Circu
 
 
 def classify_outcome(code: aqecc.QCCode, outcome: str, error_positions) -> bool:
-    """A measured bitstring is corrected iff decoding recovers exactly the
-    injected flips and the same logical bits as the error-free string."""
+    """A measured bitstring is corrected iff it decodes at distance
+    len(positions) to the logical bits of the bitstring with the injected
+    flips undone; the flips that decoding finds need not be the injected ones."""
     return not uncorrected_outcomes(code, (outcome,), error_positions)
 
 
@@ -126,24 +119,19 @@ def _error_mask(positions: tuple[int, ...], m: int) -> int:
 
 
 def run_case(case, family: str, shots: int, seed: int, error_positions=()) -> CaseReport:
-    """Simulate on the tableau backend and classify every shot."""
+    """Simulate on the tableau backend and classify every shot.  The family,
+    the positions and `shots` are checked by the callees."""
     from qgqec import sim
 
     case = CaseId.parse(case)
-    _check_family(family)
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    positions = check_error_positions(error_positions, case.m_physical)
-    circuit = build_case_circuit(case, family, positions)
-    counts = sim.tableau_run(circuit, shots, seed)
+    positions = tuple(error_positions)
+    counts = sim.tableau_run(build_case_circuit(case, family, positions), shots, seed)
     failed = uncorrected_outcomes(aqecc.build_qc_code(case), counts.counts, positions)
-    uncorrected = sum(counts.counts[outcome] for outcome in failed)
     return CaseReport(
         case=case,
         family=family,
         counts=counts,
-        corrected_shots=counts.total_shots - uncorrected,
-        uncorrected_shots=uncorrected,
+        corrected_shots=counts.total_shots - sum(counts.counts[o] for o in failed),
         stats=stats.summarize(counts, lambda outcome, count: outcome in failed),
         error_positions=positions,
         seed=seed,

@@ -191,7 +191,7 @@ def test_checks_span_full_null_space():
 def test_invalid_code_rejected():
     c1 = aqecc.build_qc_code(CaseId.C1)
     with pytest.raises(ValueError):
-        aqecc.QCCode(c1.spec, ("00000111",) * 3, c1.checks)
+        aqecc.QCCode(c1.spec, ("00000111",) * 3)
 
 
 def test_build_unknown_case():

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import qgqec
 from qgqec import tables
 from qgqec.cases import CaseId
+from qgqec.circuits import parse_int
 from qgqec.cli import MAX_CIRCUITS, MAX_GATES, MAX_SHOTS, main
 
 
@@ -98,23 +99,27 @@ _LIST_MODULES = (
 )
 
 
-@pytest.mark.parametrize("argv, uses_numpy, simulates", [
-    ([], False, False),
-    (["stats", "t1"], False, False),
-    (["stats", "t1", "--classifier", "decoded", "--case", "c1", "--errors", "3"], False, False),
-    (["export-code", "--case", "c4"], False, False),
-    (["--help"], False, False),
-    (["run", "--case", "c1", "--shots", "8"], True, True),
-    (["--import", "qgqec.groups", "qgqec.qoccc"], True, False),
+# `uses`: which of the code, statistics and tables modules each one loads
+@pytest.mark.parametrize("argv, uses_numpy, simulates, uses", [
+    ([], False, False, ""),
+    (["stats", "t1"], False, False, "stats tables"),
+    (["stats", "t1", "--classifier", "decoded", "--case", "c1", "--errors", "3"], False, False,
+     "aqecc stats tables"),
+    (["export-code", "--case", "c4"], False, False, "aqecc"),
+    (["--help"], False, False, ""),
+    (["run", "--case", "c1", "--shots", "8"], True, True, "aqecc stats"),
+    (["--import", "qgqec.groups", "qgqec.qoccc"], True, False, ""),
 ], ids=["import", "stats", "stats-decoded", "export-code", "help", "run", "paper-math"])
-def test_only_simulating_commands_load_numpy(argv, uses_numpy, simulates):
+def test_only_simulating_commands_load_numpy(argv, uses_numpy, simulates, uses):
     src = str(Path(qgqec.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", _LIST_MODULES, *argv],
                           capture_output=True, text=True, env=env, check=True)
     loaded = set(json.loads(done.stderr.splitlines()[-1]))
-    imported = argv[1:] if argv[:1] == ["--import"] else ["qgqec.cli", "qgqec.aqecc"]
+    imported = argv[1:] if argv[:1] == ["--import"] else ["qgqec.cli"]
     assert set(imported) <= loaded
+    assert {"qgqec.aqecc", "qgqec.stats", "qgqec.tables"} & loaded == \
+        {f"qgqec.{name}" for name in uses.split()}
     assert ("numpy" in loaded) == uses_numpy
     assert ("qgqec.sim" in loaded) == simulates
     assert ("qgqec._kernels_py" in loaded) == simulates
@@ -196,6 +201,36 @@ def test_seeds_are_reduced_mod_2_64(runner):
     del low["seed"], high["seed"]
     assert low == high
     assert report(-1)["counts"] == report((1 << 64) - 1)["counts"]
+
+
+# a small valid call of each command, to which one integer value is added
+_SMALL_CALLS = {
+    "run": ["run", "--case", "c1", "--shots", "8"],
+    "sweep": ["sweep", "--case", "c3"],
+    "backends-check": ["backends-check", "--circuits", "2"],
+}
+
+
+@pytest.mark.parametrize("value", ["1_0", "+3", "\u0663"])
+@pytest.mark.parametrize("command, option", [
+    ("run", "--shots"), ("run", "--seed"), ("run", "QGQEC_SEED"),
+    ("sweep", "--max-weight"), ("sweep", "--threads"),
+    ("backends-check", "--circuits"), ("backends-check", "--max-qubits"),
+    ("backends-check", "--max-gates"), ("backends-check", "--seed"),
+    ("backends-check", "QGQEC_SEED"),
+])
+def test_integer_options_take_only_plain_decimals(runner, command, option, value):
+    """int() reads each value as 10 or 3, which every option here takes."""
+    argv, env = list(_SMALL_CALLS[command]), {}
+    if option == "QGQEC_SEED":
+        env[option] = value
+    else:
+        argv += [option, value]
+    result = runner.invoke(main, argv, env=env)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert f"{value!r} is not a valid integer" in result.output
+    assert result.stdout == ""
 
 
 def test_sweep_outputs_and_exit_codes(runner, tmp_path):
@@ -363,6 +398,12 @@ _MALFORMED_STATS_INPUTS = [
     ("plus.csv", 'outcome,count\n"00000000", 4 \n"00000001",+3\n', "malformed counts input"),
     ("arabic_indic.csv", 'outcome,count\n"00000000", 4 \n"00000001",\u0663\n',
      "malformed counts input"),
+    # json alone keeps the last value of a repeated key, dropping the others
+    ("repeated_key.json", '{"counts": {"00000000": 1, "00000000": 2}, "total_shots": 2}',
+     'repeated key "00000000" in counts JSON'),
+    ("repeated_total.json",
+     '{"counts": {"00000000": 1, "00000001": 1}, "total_shots": 1, "total_shots": 2}',
+     'repeated key "total_shots" in counts JSON'),
 ]
 
 
@@ -606,9 +647,9 @@ _BACKENDS_CHECK_OPTIONS = {
 
 def _click_int(text, low, high):
     """The value click takes from `text` for an int option in low..high, or
-    None where it exits 2 (click reads ints with Python's int())."""
+    None where it exits 2 (the options read ints with `parse_int`)."""
     try:
-        value = int(text)
+        value = parse_int(text)
     except ValueError:
         return None
     if (low is not None and value < low) or (high is not None and value > high):

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import threading
 from collections import Counter
 from unittest import mock
@@ -100,6 +101,17 @@ def test_run_case_beyond_capability():
     assert report.corrected_shots + report.uncorrected_shots == 256
 
 
+@pytest.mark.parametrize("family, shots, positions, message", [
+    ("bogus", 8, (), "family must be one of ('qoccc', 'aqecc'), got 'bogus'"),
+    ("aqecc", 0, (), "shots must be >= 1"),
+    ("aqecc", 8, (3, 3), "error positions must be distinct"),
+    ("aqecc", 8, (8,), "error position 8 out of range for M=8"),
+])
+def test_run_case_rejections(family, shots, positions, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        experiments.run_case(CaseId.C1, family, shots, 1, positions)
+
+
 def test_case_report_json():
     report = experiments.run_case(CaseId.C1, "qoccc", 64, 42, (3,))
     payload = json.loads(report.to_json())
@@ -163,6 +175,10 @@ def test_classify_outcome_rules():
     assert experiments.classify_outcome(code, flipped, (0,))
     # wrong claimed position: decode weight 1 != 0 injected
     assert not experiments.classify_outcome(code, flipped, ())
+    # the flips need not be the injected ones: these sit at 10 and 11, not 8
+    # and 9, yet the outcome decodes at distance 2 to the logical bits of the
+    # outcome with 8 and 9 undone
+    assert experiments.classify_outcome(code, "0000000000110", (8, 9))
 
 
 def string_classify_reference(code, outcome, positions):
