@@ -1,6 +1,6 @@
-"""The hot kernels, in Python ints and numpy: stabilizer tableau engine,
-shot sampler and decode sweep.  This is the only kernel module;
-``backend.kernels`` is this module object.
+"""The hot kernels: stabilizer tableau engine, shot sampler (Python ints, and
+numpy imported on first use) and decode sweep (Python ints alone).  This is
+the only kernel module; ``backend.kernels`` is this module object.
 
 Tableau layout (Aaronson-Gottesman rows, stored by column as in Gidney's
 Stim): rows 0..n-1 are destabilizers, n..2n-1 stabilizers, and row i is bit
@@ -21,28 +21,25 @@ outcome is then a function of its random-bit index alone, so
 with numpy and maps only the distinct indices to outcomes
 (``outcomes_of``): memory stays within a few chunks at any shot count.
 
-The decode sweep relies on the code being linear: the distances from a
-received word to all k codewords are the k distances of the error pattern to
-the codewords themselves, re-indexed.  Those depend only on how many flips
-land on each column type (the positions one set of codewords covers), so
-``sweep_weight`` decodes each composition of the weight over the types once
+The decode sweep relies on the code being linear: a pattern's distances to
+the k codewords decide every received word it makes, and they depend only
+on how many flips land on each column type (the positions one set of
+codewords covers).  So ``sweep_weight`` decodes each composition of the
+weight over the types once, all of them in 8-bit lanes of a few Python ints,
 and counts it for every pattern it stands for, as in the split weight
-enumerators of MacWilliams & Sloane.  All compositions of all weights form
-one table per code, built on first use; each weight decodes its slice.  A
-code whose table times its k codewords would pass ``SWEEP_CELLS`` cells is
-refused, so memory stays bounded (every preset needs under 10,000).
+enumerators of MacWilliams & Sloane.  A code whose compositions times its k
+codewords would pass ``SWEEP_CELLS`` is refused, so memory stays bounded
+(every preset needs under 10,000).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from collections import Counter
+from functools import lru_cache
 from math import comb, prod
 from operator import mul
 
-import numpy as np
-
 from qgqec._bits import popcount
-from qgqec.rng import first_words
 
 BACKEND_NAME = "pure"
 MAX_TABLEAU_QUBITS = 64
@@ -50,9 +47,11 @@ MAX_TABLEAU_QUBITS = 64
 # shots per sampling chunk: bounds the sampler's per-chunk arrays (about
 # 0.5 MB each) at any shot count
 SHOT_CHUNK = 65536
-# compositions times codewords a sweep table may hold: bounds the sweep's
-# arrays (every preset needs at most 9,216); larger codes are refused
+# compositions times codewords a code's sweep tables may hold: bounds the
+# sweep's lanes (every preset needs at most 9,216); larger codes are refused
 SWEEP_CELLS = 1 << 20
+# sweep lane byte -> corrected codewords: 2^j for j free top bits, 0 from 128
+_LANE_FACTOR = [1 << j for j in range(128)] + [0] * 128
 
 OP_H, OP_X, OP_Z, OP_CNOT, OP_CZ = 0, 1, 2, 3, 4
 
@@ -202,6 +201,7 @@ def outcomes_of(o0: int, cols: list[int], indices: np.ndarray) -> np.ndarray:
     """The outcome of each random-bit index (uint64): o0 XOR the cols[i] of
     every bit i set in the index, one 256-entry XOR table lookup per 8
     columns.  Independent columns make the map one-to-one."""
+    import numpy as np
     out = np.full(len(indices), o0, dtype=np.uint64)
     for lo in range(0, len(cols), 8):
         group = cols[lo:lo + 8]
@@ -214,6 +214,7 @@ def outcomes_of(o0: int, cols: list[int], indices: np.ndarray) -> np.ndarray:
 
 def _merge_counts(a, b):
     """Two (ascending keys, counts) histograms as one."""
+    import numpy as np
     keys = np.concatenate([a[0], b[0]])
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
@@ -235,6 +236,8 @@ def sample_shots(num_qubits: int, ops, shots: int, seed: int) -> dict[int, int]:
     of the next, so even r = 64 (every index distinct) merges in
     O(shots log shots).
     """
+    import numpy as np
+    from qgqec.rng import first_words
     base = TableauEngine(num_qubits)
     base.apply(ops)
     o0, cols = outcome_map(base)
@@ -270,51 +273,46 @@ def _check_linear(m: int, cws: tuple[int, ...]) -> None:
             raise ValueError(f"codeword {l} is not the XOR of its basis words")
 
 
-def _column_types(m: int, cws: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(sizes, covers): type i is the sizes[i] positions whose column (bit b
-    = the position's bit in cws[2^b]) is covers[i]; codeword t covers them
-    iff t & covers[i] has odd weight."""
-    _check_linear(m, cws)
-    basis = [cws[1 << b] for b in range(len(cws).bit_length() - 1)]
-    columns: dict[int, int] = {}
-    for p in range(m):
-        u = sum((word >> p & 1) << b for b, word in enumerate(basis))
-        columns[u] = columns.get(u, 0) + 1
-    covers = tuple(sorted(columns))
-    return tuple(columns[u] for u in covers), covers
-
-
 @lru_cache(maxsize=8)
 def _sweep_table(m: int, cws: tuple[int, ...]):
-    """(rows, mults, weight_starts, flips, base, top_starts) of a linear
-    code, built on first use.  rows are all prod(m_i + 1) compositions over
-    the column types (``_column_types``) sorted by weight, those of weight w
-    at rows[weight_starts[w]:weight_starts[w + 1]], and mults[r] = prod
-    C(m_i, w_i) the patterns each stands for.  Composition r has D[t] -
-    weight = (rows[r] @ flips + base)[t - 1] for codewords t = 1..k-1,
-    flips[i] being -2 and base summing m_i where t covers type i; the t of
-    top bit b start at column top_starts[b].  A code of more than
-    ``SWEEP_CELLS`` compositions times k is refused before anything is
-    built."""
-    sizes, covers = _column_types(m, cws)
+    """(sizes, groups, weights) of a linear code, built on first use.  Type
+    i is the sizes[i] positions whose column (bit b = the position's bit in
+    cws[2^b]) is u_i; codeword t covers it iff t & u_i has odd weight.
+    groups[b] holds, for each t of top bit b, the types t covers, 128 -
+    ceil(c_t / 2) and [c_t even], c_t = wt(cw_t).  `weights` keeps each
+    swept weight's ``_weight_table``; a code of more than ``SWEEP_CELLS``
+    compositions (over all weights) times k is refused up front."""
+    _check_linear(m, cws)
     k = len(cws)
-    if prod(s + 1 for s in sizes) * k > SWEEP_CELLS:
+    basis = [cws[1 << b] for b in range(k.bit_length() - 1)]
+    columns = Counter(sum((word >> p & 1) << b for b, word in enumerate(basis)) for p in range(m))
+    if prod(s + 1 for s in columns.values()) * k > SWEEP_CELLS:
         raise ValueError(f"sweep supports at most {SWEEP_CELLS} compositions times codewords")
-    grid = np.indices([s + 1 for s in sizes], dtype=np.int16).reshape(len(sizes), -1).T
-    weights = grid.sum(axis=1)
-    order = np.argsort(weights, kind="stable")
-    # the outer product of the per-type binomials, in the grid's row order
-    mults = reduce(np.multiply.outer, [np.array([comb(s, j) for j in range(s + 1)], dtype=np.int64)
-                                       for s in sizes]).ravel()
-    rows, mults = grid[order], mults[order]
-    t = np.arange(1, k, dtype=np.int64)
-    covered = (np.bitwise_count(np.array(covers, dtype=np.int64)[:, None] & t) & 1).astype(np.int16)
-    flips = -2 * covered
-    base = np.array(sizes, dtype=np.int16) @ covered
-    for array in (rows, mults, flips, base):
-        array.flags.writeable = False
-    return (rows, mults, (0, *np.cumsum(np.bincount(weights)).tolist()), flips, base,
-            tuple((1 << b) - 1 for b in range(k.bit_length() - 1)))
+    terms = [([i for i, u in enumerate(columns) if popcount(t & u) & 1],
+              128 - (popcount(cws[t]) + 1) // 2, 1 - popcount(cws[t]) % 2) for t in range(1, k)]
+    groups = [terms[(1 << b) - 1:(2 << b) - 1] for b in range(len(basis))]
+    return tuple(columns.values()), groups, {}
+
+
+def _weight_table(sizes: tuple[int, ...], groups, weight: int):
+    """(lanes, groups, mults, high) of one weight.  Byte j of lanes[i] holds
+    w_i of the weight's j-th composition (w_1..w_T), 0 <= w_i <= sizes[i], in
+    lexicographic order; mults[j] = prod C(sizes[i], w_i) is the patterns it
+    stands for, and high holds 128 in every lane.  A prefix is kept only while
+    the remaining types can hold the rest, so no level outgrows the result.
+    The code's groups come back with the covered types' lanes and their
+    constants in every lane."""
+    level, room = [(b"", weight, 1)], sum(sizes)
+    for size in sizes:
+        room -= size
+        steps = [(bytes((w,)), w, comb(size, w)) for w in range(size + 1)]
+        level = [(row + byte, left - w, mult * binomial) for row, left, mult in level
+                 for byte, w, binomial in steps[max(0, left - room):min(size, left) + 1]]
+    rows, _, mults = zip(*level)
+    packed, ones = b"".join(rows), int.from_bytes(bytes((1,)) * len(rows), "little")
+    lanes = [int.from_bytes(packed[i::len(sizes)], "little") for i in range(len(sizes))]
+    return lanes, [[([lanes[i] for i in types], threshold * ones, even * ones)
+                    for types, threshold, even in group] for group in groups], mults, ones << 7
 
 
 def sweep_weight(m: int, codewords, weight: int) -> tuple[int, int]:
@@ -332,28 +330,30 @@ def sweep_weight(m: int, codewords, weight: int) -> tuple[int, int]:
     over the t of top bit b, the pattern is corrected for
     prod_b ([M_b >= weight] + [M_b > weight]) of the k codewords.
 
-    D depends only on the composition (w_1..w_T) of e over the column types
-    (``_column_types``): D[t] - weight = sum_i (m_i - 2 w_i) [t covers type
-    i], one small integer matmul over the weight's rows of the code's
-    ``_sweep_table``, then one ``np.minimum.reduceat`` for every M_b.  The
-    rule is applied once per composition, weighted by its prod C(m_i, w_i)
-    patterns.  Each factor is 0 or 2^j, so multiplicities are summed per
-    factor (each sum at most C(m, weight) < 2^63) into exact Python ints.
-    Every array is at most the table's prod(m_i + 1) x k cells, which
-    ``SWEEP_CELLS`` bounds.
+    D depends only on the composition of e over the column types: D[t] -
+    weight = c_t - 2 x_t, x_t the flips on the types t covers.  One sum of
+    the weight's lanes (``_weight_table``) gives x_t for every composition,
+    and adding 128 - ceil(c_t / 2) (127 - floor(c_t / 2)) sets bit 7 where
+    D[t] <= weight (< weight); no lane reaches 256.  ORed per top bit, these
+    give a byte per lane: j for a factor 2^j, 128 and up for 0
+    (``_LANE_FACTOR``), and each lane adds factor times multiplicity in
+    exact Python ints.  Nothing decoded is cached.
     """
     if weight < 1 or weight > m:
         return 0, 0
     if m > 64:
         raise ValueError("sweep supports at most 64 physical bits")
-    cws = tuple(codewords)
-    rows, mults, weight_starts, flips, base, top_starts = _sweep_table(m, cws)
-    lo, hi = weight_starts[weight], weight_starts[weight + 1]
-    # M_b - weight, then prod_b ([M_b >= weight] + [M_b > weight])
-    least = np.minimum.reduceat(rows[lo:hi] @ flips + base, top_starts, axis=1)
-    factor = np.multiply.reduce(np.sign(least) + 1, axis=1, dtype=np.int64)
-    # factor 0 (not corrected) and each power of two 2^0..2^(top bits); the
-    # multiplicity of each factor is at most C(m, weight) < 2^63
-    factors = [0] + [1 << j for j in range(len(top_starts) + 1)]
-    per_factor = (mults[lo:hi] @ (factor[:, None] == np.array(factors))).tolist()
-    return sum(per_factor) * len(cws), sum(map(mul, per_factor, factors))
+    sizes, groups, weights = _sweep_table(m, tuple(codewords))
+    if weight not in weights:
+        weights[weight] = _weight_table(sizes, groups, weight)
+    _, lane_groups, mults, high = weights[weight]
+    below = doubled = 0  # lanes with some D[t] < weight; factors 2 per lane
+    for group in lane_groups:
+        at_most = 0  # lanes with some D[t] <= weight, t of this top bit
+        for lanes, threshold, even in group:
+            x = sum(lanes, threshold)
+            at_most |= x
+            below |= x - even
+        doubled += (at_most & high ^ high) >> 7
+    factors = (doubled | below & high).to_bytes(len(mults), "little")
+    return comb(m, weight) << len(groups), sum(map(mul, mults, map(_LANE_FACTOR.__getitem__, factors)))

@@ -1,6 +1,7 @@
 """The kernel module the library calls through.
 
-There is one kernel path, ``qgqec._kernels_py`` (numpy and Python ints).
+There is one kernel path, ``qgqec._kernels_py`` (Python ints, and numpy in
+the shot sampler).
 Callers reach it as ``backend.kernels`` so that a tracer can wrap its
 functions on that one module object.
 """

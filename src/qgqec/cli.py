@@ -1,10 +1,11 @@
 """Command-line front end: run cases, sweeps, statistics, code export, and
 the simulator cross-validation suite.  Only ``cases`` and ``circuits`` are
 imported up front; every other library module is imported inside the
-commands that use it (the simulating ones, and with them numpy, in ``run``,
-``sweep`` and ``backends-check``), so ``--help`` loads none of them and
-``stats`` and ``export-code`` load no numpy.  Every integer option, and
-QGQEC_SEED, is read as a plain decimal (``circuits.parse_int``).
+commands that use it (the simulating ones, and with them numpy, in ``run``
+and ``backends-check``; the kernel module alone in ``sweep``), so ``--help``
+loads none of them and ``stats``, ``export-code`` and ``sweep`` load no
+numpy.  Every integer option, and QGQEC_SEED, is read as a plain decimal
+(``circuits.parse_int``).
 
 Exit codes: 0 success (including scientific findings such as capability
 exceeded), 2 configuration/input errors, 1 internal failures.  Identical

@@ -171,7 +171,7 @@ def exhaustive_correction_sweep(case, max_weight: int, threads: int | None = Non
     error pattern of weight 1..max_weight (at most M), one
     ``kernels.sweep_weight`` call per weight on the calling thread.  `threads`
     is accepted for compatibility and changes nothing: each weight is a
-    millisecond-scale numpy call, which a thread pool only slowed down."""
+    sub-millisecond Python-int call, which a thread pool only slowed down."""
     from qgqec.backend import kernels
 
     case = CaseId.parse(case)

@@ -99,18 +99,20 @@ _LIST_MODULES = (
 )
 
 
-# `uses`: which of the code, statistics and tables modules each one loads
-@pytest.mark.parametrize("argv, uses_numpy, simulates, uses", [
-    ([], False, False, ""),
-    (["stats", "t1"], False, False, "stats tables"),
+# `kernels`: whether it loads the kernel module; `uses`: which of the code,
+# statistics and tables modules it loads
+@pytest.mark.parametrize("argv, uses_numpy, simulates, kernels, uses", [
+    ([], False, False, False, ""),
+    (["stats", "t1"], False, False, False, "stats tables"),
     (["stats", "t1", "--classifier", "decoded", "--case", "c1", "--errors", "3"], False, False,
-     "aqecc stats tables"),
-    (["export-code", "--case", "c4"], False, False, "aqecc"),
-    (["--help"], False, False, ""),
-    (["run", "--case", "c1", "--shots", "8"], True, True, "aqecc stats"),
-    (["--import", "qgqec.groups", "qgqec.qoccc"], True, False, ""),
-], ids=["import", "stats", "stats-decoded", "export-code", "help", "run", "paper-math"])
-def test_only_simulating_commands_load_numpy(argv, uses_numpy, simulates, uses):
+     False, "aqecc stats tables"),
+    (["export-code", "--case", "c4"], False, False, False, "aqecc"),
+    (["--help"], False, False, False, ""),
+    (["run", "--case", "c1", "--shots", "8"], True, True, True, "aqecc stats"),
+    (["sweep", "--case", "c4"], False, False, True, "aqecc stats"),
+    (["--import", "qgqec.groups", "qgqec.qoccc"], True, False, False, ""),
+], ids=["import", "stats", "stats-decoded", "export-code", "help", "run", "sweep", "paper-math"])
+def test_only_simulating_commands_load_numpy(argv, uses_numpy, simulates, kernels, uses):
     src = str(Path(qgqec.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", _LIST_MODULES, *argv],
@@ -122,7 +124,7 @@ def test_only_simulating_commands_load_numpy(argv, uses_numpy, simulates, uses):
         {f"qgqec.{name}" for name in uses.split()}
     assert ("numpy" in loaded) == uses_numpy
     assert ("qgqec.sim" in loaded) == simulates
-    assert ("qgqec._kernels_py" in loaded) == simulates
+    assert ("qgqec._kernels_py" in loaded) == kernels
     assert "qgqec.pauli" not in loaded
 
 

@@ -5,8 +5,9 @@ outcome, and the chunked histogram at every chunk size), the one-pass
 outcome map against its r + 1-pass definition on the reference, the vectorised
 RNG against the scalar streams, and the composition decode sweep against
 the per-pattern k^2 decode loop (random linear codes with repeated, zero
-and all-distinct columns) and against a Python-int composition reference
-beyond int64.
+and all-distinct columns), against the numpy composition sweep it replaced
+(``sweep_reference``) on codes of up to 64 positions, and against a
+Python-int composition reference beyond int64.
 """
 
 import tracemalloc
@@ -24,6 +25,7 @@ from qgqec import aqecc, experiments, gf2, sim
 from qgqec.backend import kernels as pure
 from qgqec.cases import CaseId
 from qgqec.rng import first_words
+import sweep_reference
 from row_tableau import RowTableau
 from sim_reference import ShotStream
 
@@ -503,22 +505,43 @@ def wide_codes(draw, max_logical=4):
 @given(st.one_of(any_codes(), wide_codes()), st.data())
 def test_sweep_table_holds_each_composition_once(code, data):
     m, rows = code
-    cws = tuple(span(rows))
-    sizes, _ = pure._column_types(m, cws)
-    table, mults, weight_starts = pure._sweep_table(m, cws)[:3]
-    assert weight_starts[0] == 0 and weight_starts[-1] == len(table) == prod(s + 1 for s in sizes)
+    sizes = pure._sweep_table(m, tuple(span(rows)))[0]
+    assert sorted(sizes) == sorted(column_types(m, rows).values())
     weight = data.draw(st.integers(0, m))
     count = composition_count(sizes, weight)
-    lo, hi = weight_starts[weight], weight_starts[weight + 1]
-    table, mults = table[lo:hi], mults[lo:hi]
-    assert table.shape == (count, len(sizes))
-    assert len(np.unique(table, axis=0)) == count
-    assert (table.sum(axis=1) == weight).all()
-    assert ((0 <= table) & (table <= sizes)).all()
-    # each multiplicity is prod C(sizes[i], w_i) (at most C(64, 32) < 2^63)
-    binomials = np.array([[comb(size, w) for w in range(max(sizes) + 1)] for size in sizes])
-    assert (mults == binomials[np.arange(len(sizes)), table].prod(axis=1)).all()
-    assert sum(mults.tolist()) == comb(m, weight)
+    lanes, _, mults, _ = pure._weight_table(sizes, [], weight)
+    # byte j of lanes[i] is w_i of composition j; a lane past `count` bytes
+    # would not convert
+    table = list(zip(*(lane.to_bytes(count, "little") for lane in lanes)))
+    assert len(table) == len(mults) == count
+    assert len(set(table)) == count
+    assert all(sum(row) == weight for row in table)
+    assert all(0 <= w <= size for row in table for w, size in zip(row, sizes))
+    # each multiplicity is prod C(sizes[i], w_i) (up to C(64, 32))
+    assert list(mults) == [prod(comb(size, w) for size, w in zip(sizes, row)) for row in table]
+    assert sum(mults) == comb(m, weight)
+
+
+@PROPERTY
+@given(wide_codes(), st.data())
+def test_sweep_weight_equals_numpy_reference_on_wide_codes(code, data):
+    m, rows = code
+    cws = span(rows)
+    weight = data.draw(st.integers(1, m))
+    assert pure.sweep_weight(m, cws, weight) == sweep_reference.sweep_weight(m, cws, weight)
+
+
+def test_sweep_counts_more_corrected_codewords_per_pattern_than_a_byte_holds():
+    # a shortened Hamming [12, 8, 3] code: 12 distinct columns and k = 256
+    # make 2^12 * 256 = SWEEP_CELLS, and every weight-1 pattern is corrected
+    # on all 256 codewords
+    checks = [sum(1 << b for b in bits) for r in (2, 3) for bits in combinations(range(4), r)]
+    m, rows = 12, [1 << (11 - j) | checks[j] for j in range(8)]
+    cws = span(rows)
+    assert table_cells((m, rows)) == pure.SWEEP_CELLS
+    assert pure.sweep_weight(m, cws, 1) == (256 * 12, 256 * 12)
+    for weight in range(1, m + 1):
+        assert pure.sweep_weight(m, cws, weight) == sweep_reference.sweep_weight(m, cws, weight)
 
 
 def every_column_code(extra=()):
