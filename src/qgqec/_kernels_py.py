@@ -18,8 +18,11 @@ random bit 0, tracking one Pauli frame per random measurement, and reads the
 deterministic outcomes from the stabilizer signs at the end.  A shot's
 outcome is then a function of its random-bit index alone, so
 ``sample_shots`` histograms the indices of ``SHOT_CHUNK`` shots at a time
-with numpy and maps only the distinct indices to outcomes
-(``outcomes_of``): memory stays within a few chunks at any shot count.
+and maps only the distinct indices to outcomes (``outcomes_of``): memory
+stays within a few chunks at any shot count.  While the r random bits
+allow 2^r <= ``SHOT_CHUNK`` indices (every preset: r <= 4) each chunk is
+counted into 2^r entries with one ``np.bincount``; wider registers, where
+a dense count would outgrow a chunk, sort each chunk and merge the runs.
 
 The decode sweep relies on the code being linear: a pattern's distances to
 the k codewords decide every received word it makes, and they depend only
@@ -222,38 +225,56 @@ def _merge_counts(a, b):
     return keys[starts], np.add.reduceat(np.concatenate([a[1], b[1]])[order], starts)
 
 
+def _counted_indices(seed: int, shots: int, r: int):
+    """(indices, counts) of the shots' r-bit random-bit indices, indices
+    ascending, taken ``SHOT_CHUNK`` shots at a time.
+
+    While 2^r <= ``SHOT_CHUNK`` every chunk is counted into one array of 2^r
+    entries with ``np.bincount`` (the masked words are below 2^r, so they
+    read as int64 with no copy), and the nonzero entries are the distinct
+    indices.  Past that a dense count would outgrow a chunk (r = 64 would
+    need 2^64 entries), so each chunk is sorted (``np.unique``) and the runs
+    are merged, each pending run kept more than twice the size of the next:
+    even r = 64, every index distinct, merges in O(shots log shots).
+    """
+    import numpy as np
+    from qgqec.rng import first_words
+    mask = np.uint64((1 << r) - 1)
+    chunks = (first_words(seed, min(SHOT_CHUNK, shots - start), start) & mask
+              for start in range(0, shots, SHOT_CHUNK))
+    if 1 << r <= SHOT_CHUNK:
+        totals = np.zeros(1 << r, dtype=np.int64)
+        for words in chunks:
+            totals += np.bincount(words.view(np.int64), minlength=1 << r)
+        indices = np.flatnonzero(totals)
+        return indices.view(np.uint64), totals[indices]
+    runs = []
+    for words in chunks:
+        runs.append(np.unique(words, return_counts=True))
+        while len(runs) > 1 and len(runs[-2][0]) <= 2 * len(runs[-1][0]):
+            runs.append(_merge_counts(runs.pop(), runs.pop()))
+    while len(runs) > 1:
+        runs.append(_merge_counts(runs.pop(), runs.pop()))
+    return runs[0] if runs else (np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64))
+
+
 def sample_shots(num_qubits: int, ops, shots: int, seed: int) -> dict[int, int]:
     """Simulate once, then measure `shots` independent copies; returns
     {outcome: count} with keys in ascending random-bit index order.
 
     Shot s consumes the low r bits of the first word of its stream
     (``rng.first_words``; r <= n <= 64), its random-bit index, and its
-    outcome is a function of that index alone.  So shots are taken
-    ``SHOT_CHUNK`` at a time, each chunk's indices histogrammed with
-    ``np.unique``, the histograms merged, and only the distinct indices
-    mapped to outcomes (``outcomes_of``): memory stays within a few chunks
-    at any shot count, beyond the histogram itself.  Merges keep each pending run more than twice the size
-    of the next, so even r = 64 (every index distinct) merges in
-    O(shots log shots).
+    outcome is a function of that index alone.  So the indices are counted
+    ``SHOT_CHUNK`` shots at a time (``_counted_indices``: one ``np.bincount``
+    per chunk while 2^r <= ``SHOT_CHUNK``, sorted and merged runs past it)
+    and only the distinct indices are mapped to outcomes (``outcomes_of``):
+    memory stays within a few chunks at any shot count, beyond the
+    histogram itself.
     """
-    import numpy as np
-    from qgqec.rng import first_words
     base = TableauEngine(num_qubits)
     base.apply(ops)
     o0, cols = outcome_map(base)
-    mask = np.uint64((1 << len(cols)) - 1)
-    runs = []
-    for start in range(0, shots, SHOT_CHUNK):
-        words = first_words(seed, min(SHOT_CHUNK, shots - start), start)
-        words &= mask
-        runs.append(np.unique(words, return_counts=True))
-        while len(runs) > 1 and len(runs[-2][0]) <= 2 * len(runs[-1][0]):
-            runs.append(_merge_counts(runs.pop(), runs.pop()))
-    if not runs:
-        return {}
-    while len(runs) > 1:
-        runs.append(_merge_counts(runs.pop(), runs.pop()))
-    indices, counts = runs[0]
+    indices, counts = _counted_indices(seed, shots, len(cols))
     return dict(zip(outcomes_of(o0, cols, indices).tolist(), counts.tolist()))
 
 
@@ -298,17 +319,24 @@ def _weight_table(sizes: tuple[int, ...], groups, weight: int):
     """(lanes, groups, mults, high) of one weight.  Byte j of lanes[i] holds
     w_i of the weight's j-th composition (w_1..w_T), 0 <= w_i <= sizes[i], in
     lexicographic order; mults[j] = prod C(sizes[i], w_i) is the patterns it
-    stands for, and high holds 128 in every lane.  A prefix is kept only while
-    the remaining types can hold the rest, so no level outgrows the result.
+    stands for, and high holds 128 in every lane.  Prefixes are grouped by
+    the weight they leave, and a group grows by one comprehension per count
+    of the next type, kept only while the remaining types can hold the rest,
+    so no level outgrows the result; one sort restores lexicographic order.
     The code's groups come back with the covered types' lanes and their
     constants in every lane."""
-    level, room = [(b"", weight, 1)], sum(sizes)
+    level, room = {weight: ([b""], [1])}, sum(sizes)  # left -> (prefixes, mults)
     for size in sizes:
         room -= size
-        steps = [(bytes((w,)), w, comb(size, w)) for w in range(size + 1)]
-        level = [(row + byte, left - w, mult * binomial) for row, left, mult in level
-                 for byte, w, binomial in steps[max(0, left - room):min(size, left) + 1]]
-    rows, _, mults = zip(*level)
+        grown = {}
+        for left, (rows, mults) in level.items():
+            for w in range(max(0, left - room), min(size, left) + 1):
+                byte, binomial = bytes((w,)), comb(size, w)
+                next_rows, next_mults = grown.setdefault(left - w, ([], []))
+                next_rows += [row + byte for row in rows]
+                next_mults += mults if binomial == 1 else [mult * binomial for mult in mults]
+        level = grown
+    rows, mults = zip(*sorted(zip(*level[0])))
     packed, ones = b"".join(rows), int.from_bytes(bytes((1,)) * len(rows), "little")
     lanes = [int.from_bytes(packed[i::len(sizes)], "little") for i in range(len(sizes))]
     return lanes, [[([lanes[i] for i in types], threshold * ones, even * ones)

@@ -167,12 +167,9 @@ def _nearest(code: QCCode, word: int) -> tuple[int, int]:
     """(logical index, distance) of the codeword nearest to an M-bit
     integer word, ties to the smallest index: the integer core that
     `decode` and outcome classification share."""
-    best_l, best_d = 0, code.spec.m_physical + 1
-    for l, cw in enumerate(code.codewords()):
-        dist = popcount(word ^ cw)
-        if dist < best_d:
-            best_l, best_d = l, dist
-    return best_l, best_d
+    dists = [popcount(word ^ cw) for cw in code.codewords()]
+    best = min(dists)
+    return dists.index(best), best
 
 
 def stabilizer_check_operators(code: QCCode) -> list[pauli.PauliOperator]:

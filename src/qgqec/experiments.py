@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 from qgqec import aqecc, stats
 from qgqec.cases import FAMILIES, CaseId
@@ -75,17 +76,27 @@ def build_case_circuit(case, family: str = "aqecc", error_positions=()) -> Circu
         raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
     positions = check_error_positions(error_positions, case.m_physical)
 
-    code = aqecc.build_qc_code(case)
-    pivots = logical_positions(code)
+    pivots, pairs = _encoder(case)
     circuit = Circuit(case.m_physical)
     for pivot in pivots:
         circuit.h(pivot)
-    for row, pivot in zip(code.generator_rows, pivots):
-        for target in sorted(i for i, c in enumerate(row) if c == "1" and i != pivot):
-            circuit.cnot(pivot, target)
+    for control, target in pairs:
+        circuit.cnot(control, target)
     for p in positions:
         circuit.x(p)
     return circuit
+
+
+@lru_cache(maxsize=None)
+def _encoder(case: CaseId) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """(pivots, CNOT pairs) of a case's encoder, built once per code like
+    the code itself: each logical pivot fans out to the rest of its
+    generator row's support, in ascending order."""
+    code = aqecc.build_qc_code(case)
+    pivots = logical_positions(code)
+    pairs = tuple((pivot, target) for row, pivot in zip(code.generator_rows, pivots)
+                  for target in range(len(row)) if row[target] == "1" and target != pivot)
+    return tuple(pivots), pairs
 
 
 def classify_outcome(code: aqecc.QCCode, outcome: str, error_positions) -> bool:

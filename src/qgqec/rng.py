@@ -25,13 +25,14 @@ def mix64(v: int) -> int:
     return v ^ (v >> 31)
 
 
-def _mix64_array(v: np.ndarray) -> np.ndarray:
-    """``mix64`` of every element of a uint64 array, in place."""
-    v ^= v >> np.uint64(30)
+def _mix64_array(v: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """``mix64`` of every element of a uint64 array, in place; `scratch`, of
+    the same shape, takes each shift."""
+    v ^= np.right_shift(v, np.uint64(30), out=scratch)
     v *= np.uint64(0xBF58476D1CE4E5B9)
-    v ^= v >> np.uint64(27)
+    v ^= np.right_shift(v, np.uint64(27), out=scratch)
     v *= np.uint64(0x94D049BB133111EB)
-    v ^= v >> np.uint64(31)
+    v ^= np.right_shift(v, np.uint64(31), out=scratch)
     return v
 
 
@@ -41,11 +42,12 @@ def first_words(seed: int, shots: int, start: int = 0) -> np.ndarray:
 
     Every step stays on arrays: uint64 array arithmetic wraps modulo 2^64
     silently, exactly like the masked Python ints of ``mix64`` (shot indices
-    included).
+    included).  The six shifts share one scratch array.
     """
     words = np.arange(shots, dtype=np.uint64)
+    scratch = np.empty_like(words)
     words += np.uint64((start + _GAMMA) & MASK64)
     words ^= np.uint64(mix64(seed & MASK64))
-    _mix64_array(words)
+    _mix64_array(words, scratch)
     words += np.uint64(_GAMMA)
-    return _mix64_array(words)
+    return _mix64_array(words, scratch)

@@ -8,7 +8,7 @@ divides by the number of rows as listed.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from qgqec.circuits import Counts
 
@@ -16,9 +16,15 @@ Row = tuple[str, int]
 
 
 def as_rows(c) -> list[Row]:
-    if isinstance(c, Counts):
-        return sorted(c.counts.items())
-    return [(str(o), int(v)) for o, v in c]
+    """The (outcome, count) rows of a Counts object (sorted by outcome) or
+    of a row list (as listed).  A count must be a non-negative int, as in
+    ``Counts.from_json`` and ``parse_count_rows``: anything else (a float,
+    a bool, a digit string) raises ValueError rather than being coerced."""
+    rows = sorted(c.counts.items()) if isinstance(c, Counts) else [(str(o), v) for o, v in c]
+    for o, v in rows:
+        if type(v) is not int or v < 0:  # bool is an int subclass
+            raise ValueError(f"count of {o!r} must be a non-negative integer, got {v!r}")
+    return rows
 
 
 @dataclass(frozen=True)
@@ -36,7 +42,9 @@ class StatsSummary:
             raise ValueError("error rate must lie in [0, 100]")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {"mean": self.mean, "variance": self.variance,
+                "error_rate_percent": self.error_rate_percent,
+                "num_outcomes": self.num_outcomes, "total_counts": self.total_counts}
 
 
 def mean_counts(c) -> float:

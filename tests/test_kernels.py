@@ -18,7 +18,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import Phase, assume, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from qgqec import aqecc, experiments, gf2, sim
@@ -107,8 +107,15 @@ def assert_sampler_matches_reference(n, ops, shots, seed):
     assert pure.sample_shots(n, ops, shots, seed) == Counter(reference)
 
 
+# 16 random measurements, 2^16 = SHOT_CHUNK: the largest register counted
+# with np.bincount; qubits 16 and 17 are deterministic given the others
+SIXTEEN_RANDOM = (18, [(0, q, 0) for q in range(16)]
+                  + [(3, 0, 16), (3, 5, 16), (3, 9, 17), (1, 17, 0), (4, 2, 3), (2, 4, 0)])
+
+
 @PROPERTY_UNSHRUNK
 @given(clifford_ops(), st.integers(1, 24), st.integers(-(1 << 64), 1 << 64))
+@example(SIXTEEN_RANDOM, 24, 5)
 def test_sample_shots_equals_per_shot_loop(circuit, shots, seed):
     n, ops = circuit
     assert_sampler_matches_reference(n, ops, shots, seed)
@@ -116,6 +123,7 @@ def test_sample_shots_equals_per_shot_loop(circuit, shots, seed):
 
 @PROPERTY
 @given(clifford_ops(max_gates=60), st.integers(1, 40), st.integers(-(1 << 64), 1 << 64))
+@example(SIXTEEN_RANDOM, 40, 7)
 def test_sample_shots_any_chunk_size_gives_one_histogram(circuit, shots, seed):
     n, ops = circuit
     whole = pure.sample_shots(n, ops, shots, seed)
@@ -124,6 +132,25 @@ def test_sample_shots_any_chunk_size_gives_one_histogram(circuit, shots, seed):
         with mock.patch.object(pure, "SHOT_CHUNK", chunk):
             # same counts, inserted in the same ascending index order
             assert list(pure.sample_shots(n, ops, shots, seed).items()) == list(whole.items())
+
+
+@pytest.mark.parametrize("seed", [0, 13])
+def test_sample_shots_at_the_histogram_boundary(seed):
+    """r = 16: at the default chunk (2^r = SHOT_CHUNK) the indices are
+    counted with np.bincount, one shot fewer per chunk sorts and merges
+    them; both give the per-shot histogram, in the same key order."""
+    n, ops = SIXTEEN_RANDOM
+    base = pure.TableauEngine(n)
+    base.apply(ops)
+    assert len(pure.outcome_map(base)[1]) == 16 and pure.SHOT_CHUNK == 1 << 16
+    histograms = []
+    for chunk, bincounts in ((1 << 16, 1), ((1 << 16) - 1, 0)):
+        with mock.patch.object(pure, "SHOT_CHUNK", chunk), \
+                mock.patch.object(np, "bincount", wraps=np.bincount) as bincount:
+            histograms.append(list(pure.sample_shots(n, ops, 300, seed).items()))
+        assert bincount.call_count == bincounts
+    assert histograms[0] == histograms[1]
+    assert dict(histograms[0]) == Counter(per_shot_reference(n, ops, 300, seed))
 
 
 def test_tableau_run_memory_stays_within_a_few_chunks():

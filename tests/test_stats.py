@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgqec import stats, tables
 from qgqec.cases import CaseId
@@ -90,6 +92,43 @@ def test_negative_counts_rejected():
     with pytest.raises(ValueError, match="negative count"):
         Counts({"00": 5, "01": -1}, 4)
     assert parse_count_rows('"00",0\n"01",3\n') == [("00", 0), ("01", 3)]
+
+
+# counts that int() would coerce or pass through: floats (integral ones too),
+# bools, digit strings (underscores, signs and non-ASCII digits included) and
+# negative ints
+NOT_A_COUNT = st.one_of(
+    st.floats(allow_nan=False),
+    st.booleans(),
+    st.from_regex(r"\A[+-]?[0-9]+(_[0-9]+)?\Z"),
+    st.text(st.characters(categories=["Nd"]), min_size=1, max_size=3),
+    st.integers(max_value=-1),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(0, 50), max_size=6), NOT_A_COUNT, st.integers(0, 6))
+def test_row_counts_must_be_non_negative_ints(counts, bad, at):
+    """A row count that is not a non-negative int raises ValueError in every
+    statistic instead of being coerced: int() would read 2.9 as 2, True as
+    1, '1_0' as 10 and a non-ASCII digit as its value, and keep negatives."""
+    rows = [(f"o{i}", v) for i, v in enumerate(counts)]
+    rows.insert(min(at, len(rows)), ("bad", bad))
+    for statistic in (stats.as_rows, stats.mean_counts, stats.variance_counts,
+                      stats.argmax_classifier, lambda r: stats.summarize(r, lambda o, c: False)):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            statistic(rows)
+
+
+def test_summary_of_fractional_counts_is_refused():
+    with pytest.raises(ValueError):
+        stats.summarize([("00", 3.9), ("01", 1)], lambda o, c: False)
+    # the Counts constructor checks signs and the total, not the type
+    for counts in (Counts({"00": 2.5, "01": 1.5}), Counts({"00": True, "01": 2})):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            stats.mean_counts(counts)
+    summary = stats.summarize([("00", 3), ("01", 1)], lambda o, c: o == "01")
+    assert (summary.mean, summary.total_counts, summary.error_rate_percent) == (2.0, 4, 25.0)
 
 
 def test_summary_validation():
