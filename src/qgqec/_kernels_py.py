@@ -15,7 +15,10 @@ Gidney's Stim): whether measurement q is random does not depend on earlier
 outcomes, and every outcome bit is an XOR of the random bits consumed before
 it.  ``outcome_map`` finds that map in one measurement pass with every
 random bit 0, tracking one Pauli frame per random measurement, and reads the
-deterministic outcomes from the stabilizer signs at the end.  A shot's
+deterministic outcomes from the stabilizer signs at the end.  X and Z gates
+just before measurement only move that map's reference outcome (a Pauli
+frame), so ``sample_shots`` evolves each Clifford prefix once while a small
+memo holds it and folds the trailing X/Z gates into its o0.  A shot's
 outcome is then a function of its random-bit index alone, so
 ``sample_shots`` histograms the indices of ``SHOT_CHUNK`` shots at a time
 and maps only the distinct indices to outcomes (``outcomes_of``): memory
@@ -50,6 +53,9 @@ MAX_TABLEAU_QUBITS = 64
 # shots per sampling chunk: bounds the sampler's per-chunk arrays (about
 # 0.5 MB each) at any shot count
 SHOT_CHUNK = 65536
+# Clifford prefixes whose outcome map ``sample_shots`` keeps: the four case
+# encoders with room to spare; each entry holds its prefix's ops
+OUTCOME_MAP_CACHE = 16
 # compositions times codewords a code's sweep tables may hold: bounds the
 # sweep's lanes (every preset needs at most 9,216); larger codes are refused
 SWEEP_CELLS = 1 << 20
@@ -258,9 +264,36 @@ def _counted_indices(seed: int, shots: int, r: int):
     return runs[0] if runs else (np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64))
 
 
+@lru_cache(maxsize=OUTCOME_MAP_CACHE)
+def _prefix_map(num_qubits: int, prefix: tuple) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """(o0, cols, flips) of a Clifford prefix, built once while it stays in
+    the memo: ``outcome_map`` of the evolved tableau, cols as a tuple, and
+    per qubit q the mask an X on q just before measurement XORs into o0.
+    That is bit q on a deterministic qubit; on the qubit of random
+    measurement i, whose outcome is the shot's own bit, it is cols[i]
+    without bit q (cols[i]'s lowest set bit)."""
+    base = TableauEngine(num_qubits)
+    base.apply(prefix)
+    o0, cols = outcome_map(base)
+    flips = [1 << q for q in range(num_qubits)]
+    for col in cols:
+        low = col & -col
+        flips[low.bit_length() - 1] = col ^ low
+    return o0, tuple(cols), tuple(flips)
+
+
 def sample_shots(num_qubits: int, ops, shots: int, seed: int) -> dict[int, int]:
-    """Simulate once, then measure `shots` independent copies; returns
-    {outcome: count} with keys in ascending random-bit index order.
+    """Simulate the Clifford prefix once per memo entry, fold the trailing
+    X and Z gates into its outcome map, then measure `shots` independent
+    copies; returns {outcome: count} with keys in ascending random-bit index
+    order.
+
+    The trailing run of X/Z ops is a Pauli frame on the prefix's reference
+    sample (as in Gidney's Stim): Z changes no outcome, and X on qubit q
+    XORs ``_prefix_map``'s flips[q] into o0, leaving cols as they are.  So
+    the prefix's map is kept in an ``OUTCOME_MAP_CACHE``-entry memo keyed by
+    (num_qubits, prefix ops), and a case encoder is evolved once whatever
+    errors follow it.  A trailing qubit outside 0..n-1 raises ValueError.
 
     Shot s consumes the low r bits of the first word of its stream
     (``rng.first_words``; r <= n <= 64), its random-bit index, and its
@@ -271,9 +304,16 @@ def sample_shots(num_qubits: int, ops, shots: int, seed: int) -> dict[int, int]:
     memory stays within a few chunks at any shot count, beyond the
     histogram itself.
     """
-    base = TableauEngine(num_qubits)
-    base.apply(ops)
-    o0, cols = outcome_map(base)
+    ops = tuple(ops)
+    end = len(ops)
+    while end and ops[end - 1][0] in (OP_X, OP_Z):
+        end -= 1
+    o0, cols, flips = _prefix_map(num_qubits, ops[:end])
+    for code, q, _ in ops[end:]:
+        if not 0 <= q < num_qubits:
+            raise ValueError(f"qubit {q} out of range for {num_qubits} qubits")
+        if code == OP_X:
+            o0 ^= flips[q]
     indices, counts = _counted_indices(seed, shots, len(cols))
     return dict(zip(outcomes_of(o0, cols, indices).tolist(), counts.tolist()))
 

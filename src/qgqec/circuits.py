@@ -75,13 +75,19 @@ class Circuit:
 
 @dataclass(frozen=True)
 class Counts:
-    """Histogram of measured bitstrings; values sum to total_shots."""
+    """Histogram of measured bitstrings; values sum to total_shots.  Counts
+    and total_shots must be ints: a float, a string or a bool raises
+    ValueError rather than being coerced."""
 
     counts: dict[str, int]
     total_shots: int = field(default=0)
 
     def __post_init__(self):
+        if type(self.total_shots) is not int:  # bool is an int subclass
+            raise ValueError(f"total_shots must be an integer, got {self.total_shots!r}")
         for outcome, count in self.counts.items():
+            if type(count) is not int:
+                raise ValueError(f"count of {outcome!r} must be a non-negative integer, got {count!r}")
             if count < 0:
                 raise ValueError(f"negative count {count} for outcome {outcome!r}")
         total = sum(self.counts.values())

@@ -9,7 +9,7 @@ from functools import lru_cache
 
 from qgqec import aqecc, stats
 from qgqec.cases import FAMILIES, CaseId
-from qgqec.circuits import Circuit, Counts, format_count_rows
+from qgqec.circuits import Circuit, Counts, Gate, format_count_rows
 
 
 @dataclass(frozen=True)
@@ -70,33 +70,34 @@ def check_error_positions(error_positions, m_physical: int) -> tuple[int, ...]:
 
 def build_case_circuit(case, family: str = "aqecc", error_positions=()) -> Circuit:
     """H on each logical qubit, CNOT fan-out along its generator row, then a
-    deterministic X at each injected error position."""
+    deterministic X at each injected error position.  The family and the
+    positions are checked before anything is built; the encoder's gates
+    come from one cached tuple of frozen ``Gate``s per case (``_encoder``),
+    on a fresh gate list, and only the error X's are built per call."""
     case = CaseId.parse(case)
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
     positions = check_error_positions(error_positions, case.m_physical)
 
-    pivots, pairs = _encoder(case)
     circuit = Circuit(case.m_physical)
-    for pivot in pivots:
-        circuit.h(pivot)
-    for control, target in pairs:
-        circuit.cnot(control, target)
+    circuit.gates.extend(_encoder(case))
     for p in positions:
         circuit.x(p)
     return circuit
 
 
 @lru_cache(maxsize=None)
-def _encoder(case: CaseId) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-    """(pivots, CNOT pairs) of a case's encoder, built once per code like
-    the code itself: each logical pivot fans out to the rest of its
-    generator row's support, in ascending order."""
+def _encoder(case: CaseId) -> tuple[Gate, ...]:
+    """A case's encoder gates, built once per code like the code itself: H
+    on each logical pivot, then each pivot's CNOT fan-out to the rest of its
+    generator row's support, in ascending order.  Gates are frozen, so every
+    circuit shares them."""
     code = aqecc.build_qc_code(case)
     pivots = logical_positions(code)
-    pairs = tuple((pivot, target) for row, pivot in zip(code.generator_rows, pivots)
-                  for target in range(len(row)) if row[target] == "1" and target != pivot)
-    return tuple(pivots), pairs
+    gates = [Gate("H", (pivot,)) for pivot in pivots]
+    gates += [Gate("CNOT", (pivot, target)) for row, pivot in zip(code.generator_rows, pivots)
+              for target in range(len(row)) if row[target] == "1" and target != pivot]
+    return tuple(gates)
 
 
 def classify_outcome(code: aqecc.QCCode, outcome: str, error_positions) -> bool:
@@ -114,11 +115,15 @@ def uncorrected_outcomes(code: aqecc.QCCode, outcomes, error_positions) -> set[s
     m = code.spec.m_physical
     positions = check_error_positions(error_positions, m)
     mask, weight = _error_mask(positions, m), len(positions)
+    codewords = code.codewords()
     failed = set()
     for outcome in outcomes:
         word = aqecc._received_word(code, outcome)
         logical, dist = aqecc._nearest(code, word)
-        if dist != weight or logical != aqecc._nearest(code, word ^ mask)[0]:
+        undone = word ^ mask
+        # a codeword is its own unique nearest (distance 0): no second decode
+        if dist != weight or (undone != codewords[logical]
+                              and logical != aqecc._nearest(code, undone)[0]):
             failed.add(outcome)
     return failed
 

@@ -25,14 +25,21 @@ def mix64(v: int) -> int:
     return v ^ (v >> 31)
 
 
+# numpy scalars of the vector steps, built once at import: building them
+# per call cost a sizeable share of a small chunk's array work
+_U30, _U27, _U31 = np.uint64(30), np.uint64(27), np.uint64(31)
+_MUL1, _MUL2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_U_GAMMA = np.uint64(_GAMMA)
+
+
 def _mix64_array(v: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """``mix64`` of every element of a uint64 array, in place; `scratch`, of
     the same shape, takes each shift."""
-    v ^= np.right_shift(v, np.uint64(30), out=scratch)
-    v *= np.uint64(0xBF58476D1CE4E5B9)
-    v ^= np.right_shift(v, np.uint64(27), out=scratch)
-    v *= np.uint64(0x94D049BB133111EB)
-    v ^= np.right_shift(v, np.uint64(31), out=scratch)
+    v ^= np.right_shift(v, _U30, out=scratch)
+    v *= _MUL1
+    v ^= np.right_shift(v, _U27, out=scratch)
+    v *= _MUL2
+    v ^= np.right_shift(v, _U31, out=scratch)
     return v
 
 
@@ -49,5 +56,5 @@ def first_words(seed: int, shots: int, start: int = 0) -> np.ndarray:
     words += np.uint64((start + _GAMMA) & MASK64)
     words ^= np.uint64(mix64(seed & MASK64))
     _mix64_array(words, scratch)
-    words += np.uint64(_GAMMA)
+    words += _U_GAMMA
     return _mix64_array(words, scratch)

@@ -1,5 +1,6 @@
 """Case pipeline tests: circuits, classification, sweeps, reports."""
 
+import hashlib
 import json
 import random
 import re
@@ -43,6 +44,63 @@ def test_build_case_circuit_validation():
         experiments.build_case_circuit(CaseId.C1, "bogus", ())
     with pytest.raises(ValueError):
         experiments.build_case_circuit("C7")
+
+
+# sha256 (first 16 hex digits) of repr([(name, qubits), ...]) of each case
+# circuit, without errors and with X's at 0, 2, ..., 2 (P - 1), as the
+# circuits were built gate by gate through Circuit.h / .cnot / .x
+CASE_CIRCUIT_DIGESTS = {
+    "C1": ("335c3d26ae44a6cd", "f68b2bce92b6feed"),
+    "C2": ("e33327843ac83844", "db5ebc11150d6295"),
+    "C3": ("568d415692247fd5", "1072eede86c388d6"),
+    "C4": ("5a7b5d082ab4e994", "e3956d01db5d2fcf"),
+}
+
+
+def gate_listing(circuit):
+    return [(g.name, g.qubits) for g in circuit.gates]
+
+
+C1_ENCODER = [("H", (6,)), ("H", (4,)), ("H", (1,)), ("CNOT", (6, 5)), ("CNOT", (6, 7)),
+              ("CNOT", (4, 3)), ("CNOT", (4, 5)), ("CNOT", (1, 2)), ("CNOT", (1, 3))]
+
+
+@pytest.mark.parametrize("case", list(CaseId))
+def test_build_case_circuit_gates_are_pinned(case):
+    errors = tuple(range(0, 2 * case.capability, 2))
+    listings = [gate_listing(experiments.build_case_circuit(case, "aqecc", positions))
+                for positions in ((), errors)]
+    digests = tuple(hashlib.sha256(repr(g).encode()).hexdigest()[:16] for g in listings)
+    assert digests == CASE_CIRCUIT_DIGESTS[case.name]
+    assert listings[1] == listings[0] + [("X", (p,)) for p in errors]
+    if case is CaseId.C1:
+        assert listings[0] == C1_ENCODER
+
+
+def test_build_case_circuit_shares_encoder_gates_not_lists():
+    a = experiments.build_case_circuit(CaseId.C2, "aqecc", (3,))
+    before = gate_listing(a)
+    encoder = len(before) - 1
+    a.x(0).h(5)
+    a.gates[0] = a.gates[-1]
+    del a.gates[1]
+    b = experiments.build_case_circuit(CaseId.C2, "aqecc", (3,))
+    assert gate_listing(b) == before
+    c = experiments.build_case_circuit(CaseId.C2)
+    assert all(g is h for g, h in zip(b.gates[:encoder], c.gates))
+    assert b.gates is not c.gates and len(c.gates) == encoder
+
+
+@pytest.mark.parametrize("case, family, positions", [
+    (CaseId.C1, "aqecc", (3, 3)), (CaseId.C1, "aqecc", (8,)), (CaseId.C1, "aqecc", (-1,)),
+    (CaseId.C3, "bogus", ()), (CaseId.C4, "aqecc", (29,)),
+])
+def test_build_case_circuit_checks_before_building(case, family, positions):
+    with mock.patch.object(experiments, "_encoder", wraps=experiments._encoder) as encoder, \
+            mock.patch.object(experiments, "Circuit", wraps=experiments.Circuit) as circuit:
+        with pytest.raises(ValueError):
+            experiments.build_case_circuit(case, family, positions)
+    assert encoder.call_count == 0 and circuit.call_count == 0
 
 
 def test_logical_positions_private_support():

@@ -1,7 +1,9 @@
 """Kernel tests: the column-major tableau against the row-form reference
 (``row_tableau.RowTableau``) after every gate sequence and every projection,
 the affine shot sampler against the reference's per-shot loop (each shot's
-outcome, and the chunked histogram at every chunk size), the one-pass
+outcome, and the chunked histogram at every chunk size; trailing X/Z runs
+folded into the memoized prefix map also against the full circuit's own
+map), the one-pass
 outcome map against its r + 1-pass definition on the reference, the vectorised
 RNG against the scalar streams, and the composition decode sweep against
 the per-pattern k^2 decode loop (random linear codes with repeated, zero
@@ -151,6 +153,66 @@ def test_sample_shots_at_the_histogram_boundary(seed):
         assert bincount.call_count == bincounts
     assert histograms[0] == histograms[1]
     assert dict(histograms[0]) == Counter(per_shot_reference(n, ops, 300, seed))
+
+
+@st.composite
+def prefix_and_pauli_suffix(draw):
+    """(n, ops): a Clifford prefix, then a run of X/Z ops that puts an X on
+    a random and on a deterministic qubit of the prefix, where it has them,
+    among drawn X's and Z's on any qubit."""
+    n, prefix = draw(clifford_ops(max_qubits=20, max_gates=60))
+    engine = pure.TableauEngine(n)
+    engine.apply(prefix)
+    random_qubits = [(col & -col).bit_length() - 1 for col in pure.outcome_map(engine)[1]]
+    deterministic = sorted(set(range(n)) - set(random_qubits))
+    suffix = [(pure.OP_X, draw(st.sampled_from(qubits)), 0)
+              for qubits in (random_qubits, deterministic) if qubits]
+    suffix += draw(st.lists(st.tuples(st.sampled_from([pure.OP_X, pure.OP_Z]),
+                                      st.integers(0, n - 1), st.just(0)), max_size=8))
+    return n, prefix + draw(st.permutations(suffix))
+
+
+@PROPERTY_UNSHRUNK
+@given(prefix_and_pauli_suffix(), st.integers(1, 24), st.integers(-(1 << 64), 1 << 64))
+def test_sample_shots_folds_trailing_paulis_into_the_prefix_map(circuit, shots, seed):
+    """The memoized prefix map with the X/Z run folded in samples what the
+    per-shot loop measures, and what the full circuit's own outcome map
+    gives, key for key in the same order."""
+    n, ops = circuit
+    assert_sampler_matches_reference(n, ops, shots, seed)
+    engine = pure.TableauEngine(n)
+    engine.apply(ops)
+    o0, cols = pure.outcome_map(engine)
+    indices, counts = pure._counted_indices(seed, shots, len(cols))
+    unmemoized = zip(pure.outcomes_of(o0, cols, indices).tolist(), counts.tolist())
+    assert list(pure.sample_shots(n, ops, shots, seed).items()) == list(unmemoized)
+
+
+def test_sample_shots_evolves_a_prefix_once_while_memoized():
+    circuit = experiments.build_case_circuit(CaseId.C4)
+    n, prefix = circuit.num_qubits, sim._clifford_ops(circuit)
+    suffixes = ([(pure.OP_X, 3, 0)], [(pure.OP_Z, 0, 0), (pure.OP_X, 11, 0)], [])
+    pure._prefix_map.cache_clear()
+    cls = pure.TableauEngine
+    with mock.patch.object(cls, "apply", autospec=True, side_effect=cls.apply) as apply:
+        results = [pure.sample_shots(n, prefix + suffix, 50, 9) for suffix in suffixes]
+    assert apply.call_count == 1
+    info = pure._prefix_map.cache_info()
+    assert (info.hits, info.misses, info.maxsize) == (2, 1, pure.OUTCOME_MAP_CACHE)
+    for suffix, result in zip(suffixes, results):
+        assert result == Counter(per_shot_reference(n, prefix + suffix, 50, 9))
+    # the memo stays bounded however many prefixes pass through it
+    for q in range(pure.OUTCOME_MAP_CACHE + 5):
+        pure.sample_shots(n, prefix + [(pure.OP_H, q, 0), (pure.OP_X, q, 0)], 8, q)
+    assert pure._prefix_map.cache_info().currsize == pure.OUTCOME_MAP_CACHE <= 64
+
+
+@pytest.mark.parametrize("suffix", [[(1, 3, 0)], [(2, 3, 0)], [(1, -1, 0)], [(2, -3, 0)],
+                                    [(1, 0, 0), (2, 7, 0)]])
+def test_sample_shots_refuses_a_trailing_qubit_out_of_range(suffix):
+    for prefix in ([], [(pure.OP_H, 0, 0), (pure.OP_CNOT, 0, 2)]):
+        with pytest.raises(ValueError, match="out of range for 3 qubits"):
+            pure.sample_shots(3, prefix + suffix, 16, 1)
 
 
 def test_tableau_run_memory_stays_within_a_few_chunks():

@@ -120,13 +120,32 @@ def test_row_counts_must_be_non_negative_ints(counts, bad, at):
             statistic(rows)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(0, 50), max_size=6), NOT_A_COUNT, st.integers(0, 6))
+def test_counts_refuse_non_int_counts(counts, bad, at):
+    """A Counts count that is not a non-negative int raises ValueError, as
+    in ``stats.as_rows``, wherever it sits among good counts."""
+    items = [(format(i, "03b"), v) for i, v in enumerate(counts)]
+    items.insert(min(at, len(items)), ("111", bad))
+    with pytest.raises(ValueError, match="non-negative integer|negative count"):
+        Counts(dict(items))
+
+
+def test_counts_refuse_non_int_total_shots():
+    for table, total in (({"00": 1, "01": 1}, 2.0), ({"00": 1}, True),
+                         ({"00": 2}, "2"), ({"00": 2}, None)):
+        with pytest.raises(ValueError, match="total_shots must be an integer"):
+            Counts(table, total)
+    assert Counts({"00": 1, "01": 1}, 2).total_shots == 2
+
+
 def test_summary_of_fractional_counts_is_refused():
     with pytest.raises(ValueError):
         stats.summarize([("00", 3.9), ("01", 1)], lambda o, c: False)
-    # the Counts constructor checks signs and the total, not the type
-    for counts in (Counts({"00": 2.5, "01": 1.5}), Counts({"00": True, "01": 2})):
+    # the Counts constructor refuses them before any statistic sees them
+    for table in ({"00": 2.5, "01": 1.5}, {"00": True, "01": 2}):
         with pytest.raises(ValueError, match="non-negative integer"):
-            stats.mean_counts(counts)
+            Counts(table)
     summary = stats.summarize([("00", 3), ("01", 1)], lambda o, c: o == "01")
     assert (summary.mean, summary.total_counts, summary.error_rate_percent) == (2.0, 4, 25.0)
 
