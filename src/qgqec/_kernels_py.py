@@ -19,13 +19,12 @@ deterministic outcomes from the stabilizer signs at the end.  X and Z gates
 just before measurement only move that map's reference outcome (a Pauli
 frame), so ``sample_shots`` evolves each Clifford prefix once while a small
 memo holds it and folds the trailing X/Z gates into its o0.  A shot's
-outcome is then a function of its random-bit index alone, so
-``sample_shots`` histograms the indices of ``SHOT_CHUNK`` shots at a time
-and maps only the distinct indices to outcomes (``outcomes_of``): memory
-stays within a few chunks at any shot count.  While the r random bits
-allow 2^r <= ``SHOT_CHUNK`` indices (every preset: r <= 4) each chunk is
-counted into 2^r entries with one ``np.bincount``; wider registers, where
-a dense count would outgrow a chunk, sort each chunk and merge the runs.
+outcome is then entry i of ``gf2.span(cols, o0)``, i its random-bit
+index, so ``sample_shots`` counts the indices of ``SHOT_CHUNK`` shots at a
+time into 2^r totals (one ``np.bincount`` per chunk) and reads the outcomes
+off that span: memory stays within a few chunks at any shot count.  Past
+``MAX_RANDOM_BITS`` (16) random measurements it refuses; every preset has
+r <= 4.
 
 The decode sweep relies on the code being linear: a pattern's distances to
 the k codewords decide every received word it makes, and they depend only
@@ -45,6 +44,7 @@ from functools import lru_cache
 from math import comb, prod
 from operator import mul
 
+from qgqec import gf2
 from qgqec._bits import popcount
 
 BACKEND_NAME = "pure"
@@ -53,6 +53,9 @@ MAX_TABLEAU_QUBITS = 64
 # shots per sampling chunk: bounds the sampler's per-chunk arrays (about
 # 0.5 MB each) at any shot count
 SHOT_CHUNK = 65536
+# random measurements ``sample_shots`` takes: 2^16 int64 counts are 512 KB,
+# one chunk's words (every preset has r = N <= 4)
+MAX_RANDOM_BITS = 16
 # Clifford prefixes whose outcome map ``sample_shots`` keeps: the four case
 # encoders with room to spare; each entry holds its prefix's ops
 OUTCOME_MAP_CACHE = 16
@@ -206,62 +209,19 @@ def outcome_map(engine) -> tuple[int, list[int]]:
     return o0, cols
 
 
-def outcomes_of(o0: int, cols: list[int], indices: np.ndarray) -> np.ndarray:
-    """The outcome of each random-bit index (uint64): o0 XOR the cols[i] of
-    every bit i set in the index, one 256-entry XOR table lookup per 8
-    columns.  Independent columns make the map one-to-one."""
-    import numpy as np
-    out = np.full(len(indices), o0, dtype=np.uint64)
-    for lo in range(0, len(cols), 8):
-        group = cols[lo:lo + 8]
-        table = np.zeros(1 << len(group), dtype=np.uint64)
-        for j, col in enumerate(group):
-            np.bitwise_xor(table[:1 << j], col, out=table[1 << j:2 << j])
-        out ^= table[(indices >> np.uint64(lo)) & np.uint64(len(table) - 1)]
-    return out
-
-
-def _merge_counts(a, b):
-    """Two (ascending keys, counts) histograms as one."""
-    import numpy as np
-    keys = np.concatenate([a[0], b[0]])
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
-    return keys[starts], np.add.reduceat(np.concatenate([a[1], b[1]])[order], starts)
-
-
 def _counted_indices(seed: int, shots: int, r: int):
-    """(indices, counts) of the shots' r-bit random-bit indices, indices
-    ascending, taken ``SHOT_CHUNK`` shots at a time.
-
-    While 2^r <= ``SHOT_CHUNK`` every chunk is counted into one array of 2^r
-    entries with ``np.bincount`` (the masked words are below 2^r, so they
-    read as int64 with no copy), and the nonzero entries are the distinct
-    indices.  Past that a dense count would outgrow a chunk (r = 64 would
-    need 2^64 entries), so each chunk is sorted (``np.unique``) and the runs
-    are merged, each pending run kept more than twice the size of the next:
-    even r = 64, every index distinct, merges in O(shots log shots).
-    """
+    """The 2^r counts (int64) of the shots' r-bit random-bit indices, taken
+    ``SHOT_CHUNK`` shots at a time: each chunk adds one ``np.bincount`` into
+    the same array (the masked words are below 2^r, so they read as int64
+    with no copy)."""
     import numpy as np
     from qgqec.rng import first_words
     mask = np.uint64((1 << r) - 1)
-    chunks = (first_words(seed, min(SHOT_CHUNK, shots - start), start) & mask
-              for start in range(0, shots, SHOT_CHUNK))
-    if 1 << r <= SHOT_CHUNK:
-        totals = np.zeros(1 << r, dtype=np.int64)
-        for words in chunks:
-            totals += np.bincount(words.view(np.int64), minlength=1 << r)
-        indices = np.flatnonzero(totals)
-        return indices.view(np.uint64), totals[indices]
-    runs = []
-    for words in chunks:
-        runs.append(np.unique(words, return_counts=True))
-        while len(runs) > 1 and len(runs[-2][0]) <= 2 * len(runs[-1][0]):
-            runs.append(_merge_counts(runs.pop(), runs.pop()))
-    while len(runs) > 1:
-        runs.append(_merge_counts(runs.pop(), runs.pop()))
-    return runs[0] if runs else (np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64))
+    totals = np.zeros(1 << r, dtype=np.int64)
+    for start in range(0, shots, SHOT_CHUNK):
+        words = first_words(seed, min(SHOT_CHUNK, shots - start), start) & mask
+        totals += np.bincount(words.view(np.int64), minlength=1 << r)
+    return totals
 
 
 @lru_cache(maxsize=OUTCOME_MAP_CACHE)
@@ -296,13 +256,13 @@ def sample_shots(num_qubits: int, ops, shots: int, seed: int) -> dict[int, int]:
     errors follow it.  A trailing qubit outside 0..n-1 raises ValueError.
 
     Shot s consumes the low r bits of the first word of its stream
-    (``rng.first_words``; r <= n <= 64), its random-bit index, and its
-    outcome is a function of that index alone.  So the indices are counted
-    ``SHOT_CHUNK`` shots at a time (``_counted_indices``: one ``np.bincount``
-    per chunk while 2^r <= ``SHOT_CHUNK``, sorted and merged runs past it)
-    and only the distinct indices are mapped to outcomes (``outcomes_of``):
-    memory stays within a few chunks at any shot count, beyond the
-    histogram itself.
+    (``rng.first_words``), its random-bit index i, and its outcome is
+    entry i of ``gf2.span(cols, o0)``.  So the indices are counted into 2^r
+    totals ``SHOT_CHUNK`` shots at a time (``_counted_indices``) and read
+    off against that span, the support ``sim.tableau_distribution`` lists:
+    memory stays within a few chunks at any shot count.  More than
+    ``MAX_RANDOM_BITS`` random measurements raise ValueError, as the
+    tableau refuses more than ``MAX_TABLEAU_QUBITS`` qubits.
     """
     ops = tuple(ops)
     end = len(ops)
@@ -314,8 +274,11 @@ def sample_shots(num_qubits: int, ops, shots: int, seed: int) -> dict[int, int]:
             raise ValueError(f"qubit {q} out of range for {num_qubits} qubits")
         if code == OP_X:
             o0 ^= flips[q]
-    indices, counts = _counted_indices(seed, shots, len(cols))
-    return dict(zip(outcomes_of(o0, cols, indices).tolist(), counts.tolist()))
+    if len(cols) > MAX_RANDOM_BITS:
+        raise ValueError(f"sampling supports at most {MAX_RANDOM_BITS} random measurements, "
+                         f"got {len(cols)}")
+    totals = _counted_indices(seed, shots, len(cols)).tolist()
+    return {o: c for o, c in zip(gf2.span(cols, o0), totals) if c}
 
 
 def _check_linear(m: int, cws: tuple[int, ...]) -> None:

@@ -67,6 +67,11 @@ class QCCode:
         rows = [bits_to_int(r) for r in reversed(self.generator_rows)]
         return tuple(gf2.span(rows))
 
+    @cached_property
+    def _codeword_index(self) -> dict[int, int]:
+        """The logical index of each codeword, built once per code."""
+        return {cw: logical for logical, cw in enumerate(self._codewords)}
+
     def to_json(self) -> str:
         s = self.spec
         payload = {

@@ -12,9 +12,12 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 STATEVECTOR_QUBIT_CAP = 16  # widest circuit the dense statevector engine takes
 PROB_PRUNE = 1e-15  # exact probabilities at or below this are dropped
+# holds every distinct gate on up to 45 qubits: 3 n + 2 n (n - 1) = 4,095
+GATE_CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -24,8 +27,17 @@ class Gate:
     matrix: object = None  # dense payload for name == "U" only
 
 
+@lru_cache(maxsize=GATE_CACHE_SIZE)
+def _gate(name: str, qubits: tuple[int, ...]) -> Gate:
+    """One shared frozen ``Gate`` per (name, qubits) of a Clifford gate;
+    dense ``U`` gates carry a matrix and are never cached."""
+    return Gate(name, qubits)
+
+
 class Circuit:
-    """Ordered gate list over a fixed register; measure-all is implicit."""
+    """Ordered gate list over a fixed register; measure-all is implicit.
+    Each Clifford gate is checked, then taken from the shared ``_gate``
+    cache."""
 
     def __init__(self, num_qubits: int):
         if num_qubits < 1:
@@ -42,23 +54,23 @@ class Circuit:
         return qubits
 
     def h(self, q: int) -> "Circuit":
-        self.gates.append(Gate("H", self._check(q)))
+        self.gates.append(_gate("H", self._check(q)))
         return self
 
     def x(self, q: int) -> "Circuit":
-        self.gates.append(Gate("X", self._check(q)))
+        self.gates.append(_gate("X", self._check(q)))
         return self
 
     def z(self, q: int) -> "Circuit":
-        self.gates.append(Gate("Z", self._check(q)))
+        self.gates.append(_gate("Z", self._check(q)))
         return self
 
     def cnot(self, control: int, target: int) -> "Circuit":
-        self.gates.append(Gate("CNOT", self._check(control, target)))
+        self.gates.append(_gate("CNOT", self._check(control, target)))
         return self
 
     def cz(self, a: int, b: int) -> "Circuit":
-        self.gates.append(Gate("CZ", self._check(a, b)))
+        self.gates.append(_gate("CZ", self._check(a, b)))
         return self
 
     def unitary(self, matrix, qubits) -> "Circuit":

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from qgqec import aqecc, stats
+from qgqec._bits import popcount
 from qgqec.cases import FAMILIES, CaseId
 from qgqec.circuits import Circuit, Counts, Gate, format_count_rows
 
@@ -73,7 +74,8 @@ def build_case_circuit(case, family: str = "aqecc", error_positions=()) -> Circu
     deterministic X at each injected error position.  The family and the
     positions are checked before anything is built; the encoder's gates
     come from one cached tuple of frozen ``Gate``s per case (``_encoder``),
-    on a fresh gate list, and only the error X's are built per call."""
+    on a fresh gate list, and the error X's from ``Circuit.x``'s shared
+    gate cache."""
     case = CaseId.parse(case)
     if family not in FAMILIES:
         raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
@@ -111,19 +113,36 @@ def uncorrected_outcomes(code: aqecc.QCCode, outcomes, error_positions) -> set[s
     """The outcomes that `classify_outcome` rejects, on integers: those that
     do not decode at distance len(positions) to the logical index of the
     outcome with the injected flips undone.  The positions are checked and
-    the flip mask is built once; outcomes raise ValueError in input order."""
+    the flip mask is built once; outcomes raise ValueError in input order.
+
+    A sampled outcome lies in the coset cw_l ^ mask, and linearity decides
+    the whole coset from D[t] = wt(mask ^ cw_t), computed once: the outcome
+    lies at D[l ^ j] from cw_j and D[0] = w, the weight.  So it decodes at
+    distance w to l, ties to the smallest index as ``aqecc.decode``, unless
+    some t != 0 has D[t] < w or it has D[t] == w and t's top bit is set in
+    l (then l ^ t < l): the rule ``sweep_weight`` counts with.  Any other
+    outcome is decoded twice with ``aqecc._nearest``.
+    """
     m = code.spec.m_physical
     positions = check_error_positions(error_positions, m)
     mask, weight = _error_mask(positions, m), len(positions)
-    codewords = code.codewords()
+    codewords, index = code.codewords(), code._codeword_index
+    below, ties = False, 0
+    for t in range(1, len(codewords)):
+        d = popcount(mask ^ codewords[t])
+        below |= d < weight
+        if d == weight:
+            ties |= 1 << (t.bit_length() - 1)
     failed = set()
     for outcome in outcomes:
         word = aqecc._received_word(code, outcome)
-        logical, dist = aqecc._nearest(code, word)
         undone = word ^ mask
-        # a codeword is its own unique nearest (distance 0): no second decode
-        if dist != weight or (undone != codewords[logical]
-                              and logical != aqecc._nearest(code, undone)[0]):
+        logical = index.get(undone)
+        if logical is None:
+            logical, dist = aqecc._nearest(code, word)
+            if dist != weight or logical != aqecc._nearest(code, undone)[0]:
+                failed.add(outcome)
+        elif below or logical & ties:
             failed.add(outcome)
     return failed
 

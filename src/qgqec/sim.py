@@ -2,46 +2,44 @@
 
 The tableau engine (``backend.kernels``) simulates Clifford circuits exactly
 at up to 64 qubits.  Its outcomes are an affine map over GF(2) of the random
-measurement bits (``kernels.outcome_map``), which gives both the sampled
-counts and the exact distribution: 2^r outcomes o0 ^ span(cols), each with
-probability 2^-r.  The dense statevector engine (<= 16 qubits) is the
-exactness oracle and additionally accepts dense 1- and 2-qubit operators.
-It keeps the 2^n amplitudes as a (2,) * n view, axis q for qubit q, which
-may be reversed or transposed: X reverses its axis (no copy), Z and CZ
-negate the view where their qubits are 1, and CNOT assigns the control-1
-half from its target-reversed view, none of which rounds.  H and dense
-operators copy the view, transposed so that the gate's qubits come first
-and the rest ascend, into one contiguous operand: the one that
+measurement bits (``kernels.outcome_map``), whose support o0 ^ span(cols),
+2^r outcomes of probability 2^-r each, gives both the sampled counts and the
+exact distribution.  ``tableau_run`` samples from counter-based per-shot
+streams (vectorised by ``rng.first_words``), so identical (circuit, shots,
+seed) always yields identical Counts; it takes shots ``kernels.SHOT_CHUNK``
+at a time and keeps only 2^r totals across chunks, so memory stays bounded
+at any shot count, and it refuses more than ``kernels.MAX_RANDOM_BITS``
+random measurements.  It renders one bitstring per distinct outcome,
+inserted in ascending random-bit index order; every serialiser sorts its
+keys, so the order never reaches the output.
+
+The dense statevector engine (<= 16 qubits) is the exactness oracle and
+additionally accepts dense 1- and 2-qubit operators; it gives exact
+distributions only.  It keeps the 2^n amplitudes as a (2,) * n view, axis
+q for qubit q, which may be reversed or transposed: X reverses its axis (no
+copy), Z and CZ negate the view where their qubits are 1, and CNOT assigns
+the control-1 half from its target-reversed view, none of which rounds.  H
+and dense operators copy the view, transposed so that the gate's qubits
+come first and the rest ascend, into one contiguous operand: the one that
 ``np.tensordot`` builds from the (2,) * n tensor.  So the one ``np.dot`` it
 would make, and the norm that renormalises a dense operator (summed in the
 same memory order), round alike: the amplitudes equal those of a
 ``tensordot``-per-gate engine bit for bit (up to the sign of zeros).  The
 product stays as a view transposed back to qubit order.
-Both sample measurements from the same counter-based per-shot streams
-(vectorised by ``rng.first_words``), so identical (circuit, shots, seed)
-always yields identical Counts.  Both take shots ``kernels.SHOT_CHUNK`` at a
-time and keep only a histogram across chunks, so memory stays bounded at any
-shot count.  ``tableau_run`` renders one bitstring per distinct outcome,
-inserted in ascending random-bit index order; every serialiser sorts its
-keys, so the order never reaches the output.  ``exact_distribution``, whose
-support may reach 2^16 states, renders all its keys in one numpy pass.
+``exact_distribution``, whose support may reach 2^16 states, renders all
+its keys in one numpy pass.
 """
 
 from __future__ import annotations
 
 import random
-from functools import lru_cache
 
 import numpy as np
 
 from qgqec import gf2
-from qgqec._bits import int_to_bits
 from qgqec.backend import kernels
-from qgqec.circuits import PROB_PRUNE, STATEVECTOR_QUBIT_CAP, Circuit, Counts, Gate
-from qgqec.rng import first_words
+from qgqec.circuits import PROB_PRUNE, STATEVECTOR_QUBIT_CAP, Circuit, Counts, _gate
 
-# holds every distinct gate on up to 45 qubits: 3 n + 2 n (n - 1) = 4,095
-GATE_CACHE_SIZE = 4096
 TV_TOLERANCE = 1e-9  # largest total variation backend_equivalence accepts
 
 _OPCODE = {"H": kernels.OP_H, "X": kernels.OP_X, "Z": kernels.OP_Z,
@@ -84,8 +82,8 @@ def tableau_distribution(circuit: Circuit) -> dict[str, float]:
 
     The support is o0 ^ span(cols), 2^r distinct outcomes of probability
     2^-r each, so the result is exact (dyadic) in floating point.
-    ``gf2.span`` lists them in random-bit index order, as
-    ``kernels.outcomes_of`` maps the indices 0..2^r-1.
+    ``gf2.span`` lists them in random-bit index order, the support that
+    ``kernels.sample_shots`` reads its counts against.
     """
     ops = _clifford_ops(circuit)
     n = circuit.num_qubits
@@ -191,41 +189,7 @@ def exact_distribution(circuit: Circuit) -> dict[str, float]:
     return dict(zip(keys, probs[idx].tolist()))
 
 
-def statevector_run(circuit: Circuit, shots: int, seed: int) -> Counts:
-    """Exact amplitude evolution, sampled with the shared per-shot streams.
-
-    Shot s draws u = (first word of its stream >> 11) * 2^-53, uniform in
-    [0, 1) with 53 random bits, and lands on the first basis state whose
-    cumulative probability exceeds u.  Shots are taken
-    ``kernels.SHOT_CHUNK`` at a time and counted into one array of 2^n
-    counts, so memory is bounded at any shot count; keys come out in
-    ascending basis-state order.
-    """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    flat = _final_state(circuit)
-    n = circuit.num_qubits
-    cumulative = np.cumsum(np.abs(flat) ** 2)
-    cumulative /= cumulative[-1]
-    totals = np.zeros(len(cumulative), dtype=np.int64)
-    for start in range(0, shots, kernels.SHOT_CHUNK):
-        words = first_words(seed, min(kernels.SHOT_CHUNK, shots - start), start)
-        u = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        idx = np.minimum(np.searchsorted(cumulative, u, side="right"), len(cumulative) - 1)
-        totals += np.bincount(idx, minlength=len(cumulative))
-    states = np.flatnonzero(totals)
-    return Counts(
-        {int_to_bits(i, n): c for i, c in zip(states.tolist(), totals[states].tolist())}, shots
-    )
-
-
 # -- cross-validation -------------------------------------------------------
-
-
-@lru_cache(maxsize=GATE_CACHE_SIZE)
-def _gate(name: str, qubits: tuple[int, ...]) -> Gate:
-    """One shared frozen ``Gate`` per (name, qubits)."""
-    return Gate(name, qubits)
 
 
 def random_clifford_circuit(num_qubits: int, num_gates: int, seed: int) -> Circuit:

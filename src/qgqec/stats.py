@@ -49,7 +49,10 @@ class StatsSummary:
 
 def mean_counts(c) -> float:
     """(sum of counts) / (number of listed outcomes)."""
-    rows = as_rows(c)
+    return _mean(as_rows(c))
+
+
+def _mean(rows: list[Row]) -> float:
     if not rows:
         raise ValueError("no counts")
     return sum(v for _, v in rows) / len(rows)
@@ -57,10 +60,11 @@ def mean_counts(c) -> float:
 
 def variance_counts(c) -> float:
     """Population variance of the listed counts."""
-    rows = as_rows(c)
-    if not rows:
-        raise ValueError("no counts")
-    mu = mean_counts(rows)
+    return _variance(as_rows(c))
+
+
+def _variance(rows: list[Row]) -> float:
+    mu = _mean(rows)
     return sum((v - mu) ** 2 for _, v in rows) / len(rows)
 
 
@@ -70,7 +74,10 @@ def error_rate(c, is_error) -> float:
     is_error is called per row as is_error(outcome, count); the classifier
     must cover every row.
     """
-    rows = as_rows(c)
+    return _error_rate(as_rows(c), is_error)
+
+
+def _error_rate(rows: list[Row], is_error) -> float:
     total = sum(v for _, v in rows)
     if total == 0:
         raise ValueError("zero total counts")
@@ -89,11 +96,16 @@ def argmax_classifier(c):
 
 
 def summarize(c, is_error) -> StatsSummary:
+    """Mean, variance, error rate and totals of one table.  The rows are
+    validated once (``as_rows``); each statistic is then the public
+    function's arithmetic on that list, so the floats and the errors (no
+    rows, then a zero total) are the ones ``mean_counts``,
+    ``variance_counts`` and ``error_rate`` give."""
     rows = as_rows(c)
     return StatsSummary(
-        mean=mean_counts(rows),
-        variance=variance_counts(rows),
-        error_rate_percent=error_rate(rows, is_error),
+        mean=_mean(rows),
+        variance=_variance(rows),
+        error_rate_percent=_error_rate(rows, is_error),
         num_outcomes=len(rows),
         total_counts=sum(v for _, v in rows),
     )

@@ -7,9 +7,11 @@ qubit pair with ``rnd.sample``, which for n <= 21 makes the draws of
 ``random_clifford_circuit_draw_reference``.  That one draws with
 ``rnd.choice`` and ``rnd.randrange`` and builds a fresh ``Gate`` per gate;
 it defines the circuits at any width.  ``exact_distribution_reference``
-renders one key per support index with ``format``.  ``ShotStream`` is the
-scalar per-shot stream that ``qgqec.rng.first_words`` vectorises, and so the
-reference for ``first_words`` and for both samplers.
+renders one key per support index with ``format``.  ``outcome_of_index``
+is the tableau's affine outcome map applied to one random-bit index.
+``ShotStream`` is the scalar per-shot stream that ``qgqec.rng.first_words``
+vectorises, and so the reference for ``first_words``; ``per_shot_reference``
+measures one row-form tableau copy per stream, the sampler's definition.
 """
 
 import random
@@ -19,6 +21,7 @@ import numpy as np
 from qgqec import sim
 from qgqec.circuits import Circuit, Gate
 from qgqec.rng import _GAMMA, MASK64, mix64
+from row_tableau import RowTableau
 
 
 def random_clifford_circuit_reference(num_qubits: int, num_gates: int, seed: int) -> Circuit:
@@ -62,13 +65,21 @@ def exact_distribution_reference(circuit: Circuit) -> dict[str, float]:
     }
 
 
+def outcome_of_index(o0: int, cols, index: int) -> int:
+    """o0 XOR cols[i] for every bit i set in `index`, one column at a time."""
+    for i, col in enumerate(cols):
+        if index >> i & 1:
+            o0 ^= col
+    return o0
+
+
 def shot_state(seed: int, shot_index: int) -> int:
     """Initial stream state for one shot of one run."""
     return mix64(mix64(seed & MASK64) ^ ((shot_index + _GAMMA) & MASK64))
 
 
 class ShotStream:
-    """Word-buffered bit/float source for a single shot."""
+    """Word-buffered bit source for a single shot."""
 
     __slots__ = ("_state", "_word", "_bits_left")
 
@@ -90,6 +101,10 @@ class ShotStream:
         self._bits_left -= 1
         return bit
 
-    def next_float(self) -> float:
-        """Uniform in [0, 1) with 53 random bits."""
-        return (self.next_word() >> 11) * (1.0 / (1 << 53))
+
+def per_shot_reference(n: int, ops, shots: int, seed: int) -> list[int]:
+    """The sampler's definition: one row-form tableau copy measured per
+    shot stream; each outcome has qubit q at bit q."""
+    base = RowTableau(n)
+    base.apply(ops)
+    return [base.copy().measure_all(ShotStream(seed, s)) for s in range(shots)]

@@ -12,10 +12,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import qgqec
-from qgqec import tables
+from qgqec import experiments, sim, tables
 from qgqec.cases import CaseId
 from qgqec.circuits import parse_int
 from qgqec.cli import MAX_CIRCUITS, MAX_GATES, MAX_SHOTS, main
+from sim_reference import per_shot_reference
 
 
 @pytest.fixture()
@@ -63,6 +64,19 @@ def test_run_invalid_errors_exit_2(runner):
         assert result.exit_code == 2
         assert f"--errors must be a comma list of integers, got {errors!r}" in result.output
     assert runner.invoke(main, ["run", "--case", "c1", "--shots", "0"]).exit_code == 2
+
+
+@pytest.mark.parametrize("extra", [[], ["--seed", "7", "--errors", "0,5"]])
+def test_run_one_shot(runner, extra):
+    """--shots 1, the smallest accepted, exits 0 with the one shot that the
+    per-shot loop measures."""
+    result = invoke(runner, ["run", "--case", "c3", "--shots", "1", *extra])
+    assert result.exit_code == 0
+    report = json.loads(result.output)
+    circuit = experiments.build_case_circuit(CaseId.C3, "aqecc", report["error_positions"])
+    [outcome] = per_shot_reference(13, sim._clifford_ops(circuit), 1, report["seed"])
+    assert report["total_shots"] == 1
+    assert report["counts"] == {format(outcome, "013b")[::-1]: 1}
 
 
 def test_run_shots_past_the_cap_exit_2(runner):

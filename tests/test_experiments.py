@@ -278,6 +278,26 @@ def test_classify_outcome_equals_string_definition(case, data):
             experiments.classify_outcome(code, outcome[:i] + char + outcome[i + 1:], positions)
 
 
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(list(CaseId)), st.data())
+def test_uncorrected_outcomes_on_whole_cosets_equals_string_definition(case, data):
+    """A batch holding every codeword ^ injected mask, the support a run
+    samples, at any weight 0..M (ties D[t] = w and weights past the
+    capability included), mixed with random strings off the coset: the
+    coset rule and the two-decode fallback reject what the string
+    definition rejects."""
+    code = aqecc.build_qc_code(case)
+    m = case.m_physical
+    weight = data.draw(st.integers(0, m))
+    positions = tuple(data.draw(st.permutations(range(m)))[:weight])
+    mask = sum(1 << (m - 1 - p) for p in positions)
+    batch = [format(cw ^ mask, f"0{m}b") for cw in code.codewords()]
+    batch += data.draw(st.lists(st.text("01", min_size=m, max_size=m), max_size=8))
+    batch = data.draw(st.permutations(batch))
+    assert experiments.uncorrected_outcomes(code, batch, positions) == \
+        {o for o in batch if not string_classify_reference(code, o, positions)}
+
+
 @pytest.mark.parametrize("case", list(CaseId))
 def test_run_case_equals_string_decoding(case):
     positions = tuple(range(0, 2 * case.capability, 2))

@@ -1,10 +1,11 @@
 """Kernel tests: the column-major tableau against the row-form reference
 (``row_tableau.RowTableau``) after every gate sequence and every projection,
-the affine shot sampler against the reference's per-shot loop (each shot's
-outcome, and the chunked histogram at every chunk size; trailing X/Z runs
-folded into the memoized prefix map also against the full circuit's own
-map), the one-pass
-outcome map against its r + 1-pass definition on the reference, the vectorised
+the affine outcome map against the reference's per-shot loop shot by shot
+at up to 64 random measurements, the shot sampler's histogram against it at
+up to ``MAX_RANDOM_BITS`` (at every chunk size, one shot included, and its
+refusal past that; trailing X/Z runs folded into the memoized prefix map
+also against the full circuit's own map), the one-pass outcome map against
+its r + 1-pass definition on the reference, the vectorised
 RNG against the scalar streams, and the composition decode sweep against
 the per-pattern k^2 decode loop (random linear codes with repeated, zero
 and all-distinct columns), against the numpy composition sweep it replaced
@@ -29,7 +30,7 @@ from qgqec.cases import CaseId
 from qgqec.rng import first_words
 import sweep_reference
 from row_tableau import RowTableau
-from sim_reference import ShotStream
+from sim_reference import ShotStream, outcome_of_index, per_shot_reference
 
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -50,14 +51,6 @@ def clifford_ops(draw, max_qubits=64, max_gates=120):
         b = (a + draw(st.integers(1, n - 1))) % n if code >= 3 else 0
         ops.append((code, a, b))
     return n, ops
-
-
-def per_shot_reference(n, ops, shots, seed):
-    """The sampler's definition: one row-form tableau copy measured per
-    shot stream."""
-    base = RowTableau(n)
-    base.apply(ops)
-    return [base.copy().measure_all(ShotStream(seed, s)) for s in range(shots)]
 
 
 def as_rows(engine):
@@ -96,21 +89,43 @@ def test_column_tableau_equals_row_reference_after_every_projection(circuit, bit
             assert as_rows(engine) == (reference.xs, reference.zs, reference.rs)
 
 
+def index_histogram(o0, cols, shots, seed):
+    """(outcome, count) per sampled random-bit index (the low r bits of each
+    shot's first word), in ascending index order, each index mapped by
+    ``outcome_of_index``."""
+    indices = first_words(seed, shots) & np.uint64((1 << len(cols)) - 1)
+    return [(outcome_of_index(o0, cols, i), count)
+            for i, count in sorted(Counter(indices.tolist()).items())]
+
+
 def assert_sampler_matches_reference(n, ops, shots, seed):
-    """Shot by shot, the outcome of each shot's random-bit index (the low r
-    bits of its first word) is the per-shot loop's outcome; and the
-    sampler's histogram is the loop's histogram."""
+    """Shot by shot, the outcome map at each shot's random-bit index is the
+    per-shot loop's outcome, at any r <= 64.  At r <= ``MAX_RANDOM_BITS``
+    the sampler's histogram is the loop's, keys in ascending index order;
+    past it the sampler refuses."""
     reference = per_shot_reference(n, ops, shots, seed)
     base = pure.TableauEngine(n)
     base.apply(ops)
     o0, cols = pure.outcome_map(base)
     indices = first_words(seed, shots) & np.uint64((1 << len(cols)) - 1)
-    assert pure.outcomes_of(o0, cols, indices).tolist() == reference
-    assert pure.sample_shots(n, ops, shots, seed) == Counter(reference)
+    assert [outcome_of_index(o0, cols, i) for i in indices.tolist()] == reference
+    if len(cols) > pure.MAX_RANDOM_BITS:
+        with pytest.raises(ValueError, match="at most 16 random measurements"):
+            pure.sample_shots(n, ops, shots, seed)
+        return
+    histogram = list(pure.sample_shots(n, ops, shots, seed).items())
+    assert histogram == index_histogram(o0, cols, shots, seed)
+    assert dict(histogram) == Counter(reference)
 
 
-# 16 random measurements, 2^16 = SHOT_CHUNK: the largest register counted
-# with np.bincount; qubits 16 and 17 are deterministic given the others
+def random_bits(n, ops):
+    engine = pure.TableauEngine(n)
+    engine.apply(ops)
+    return len(pure.outcome_map(engine)[1])
+
+
+# 16 random measurements, MAX_RANDOM_BITS: the widest register sampled;
+# qubits 16 and 17 are deterministic given the others
 SIXTEEN_RANDOM = (18, [(0, q, 0) for q in range(16)]
                   + [(3, 0, 16), (3, 5, 16), (3, 9, 17), (1, 17, 0), (4, 2, 3), (2, 4, 0)])
 
@@ -128,6 +143,7 @@ def test_sample_shots_equals_per_shot_loop(circuit, shots, seed):
 @example(SIXTEEN_RANDOM, 40, 7)
 def test_sample_shots_any_chunk_size_gives_one_histogram(circuit, shots, seed):
     n, ops = circuit
+    assume(random_bits(n, ops) <= pure.MAX_RANDOM_BITS)
     whole = pure.sample_shots(n, ops, shots, seed)
     assert pure.SHOT_CHUNK >= shots  # one chunk
     for chunk in range(1, shots + 1):
@@ -138,21 +154,26 @@ def test_sample_shots_any_chunk_size_gives_one_histogram(circuit, shots, seed):
 
 @pytest.mark.parametrize("seed", [0, 13])
 def test_sample_shots_at_the_histogram_boundary(seed):
-    """r = 16: at the default chunk (2^r = SHOT_CHUNK) the indices are
-    counted with np.bincount, one shot fewer per chunk sorts and merges
-    them; both give the per-shot histogram, in the same key order."""
+    """r = 16 = MAX_RANDOM_BITS: each chunk adds one np.bincount into 2^16
+    totals, whatever the chunk size, and gives the per-shot histogram in
+    the same key order; r = 17 is refused before any shot is drawn."""
     n, ops = SIXTEEN_RANDOM
-    base = pure.TableauEngine(n)
-    base.apply(ops)
-    assert len(pure.outcome_map(base)[1]) == 16 and pure.SHOT_CHUNK == 1 << 16
+    assert random_bits(n, ops) == pure.MAX_RANDOM_BITS == 16
     histograms = []
-    for chunk, bincounts in ((1 << 16, 1), ((1 << 16) - 1, 0)):
+    for chunk, bincounts in ((1 << 16, 1), (7, 43)):
         with mock.patch.object(pure, "SHOT_CHUNK", chunk), \
                 mock.patch.object(np, "bincount", wraps=np.bincount) as bincount:
             histograms.append(list(pure.sample_shots(n, ops, 300, seed).items()))
         assert bincount.call_count == bincounts
     assert histograms[0] == histograms[1]
     assert dict(histograms[0]) == Counter(per_shot_reference(n, ops, 300, seed))
+    seventeen = [(pure.OP_H, q, 0) for q in range(17)]
+    for suffix in ([], [(pure.OP_X, 3, 0)]):
+        assert random_bits(17, seventeen + suffix) == 17
+        with mock.patch.object(np, "bincount") as bincount, \
+                pytest.raises(ValueError, match="at most 16 random measurements, got 17"):
+            pure.sample_shots(17, seventeen + suffix, 300, seed)
+        assert bincount.call_count == 0
 
 
 @st.composite
@@ -183,9 +204,9 @@ def test_sample_shots_folds_trailing_paulis_into_the_prefix_map(circuit, shots, 
     engine = pure.TableauEngine(n)
     engine.apply(ops)
     o0, cols = pure.outcome_map(engine)
-    indices, counts = pure._counted_indices(seed, shots, len(cols))
-    unmemoized = zip(pure.outcomes_of(o0, cols, indices).tolist(), counts.tolist())
-    assert list(pure.sample_shots(n, ops, shots, seed).items()) == list(unmemoized)
+    assume(len(cols) <= pure.MAX_RANDOM_BITS)
+    unmemoized = index_histogram(o0, cols, shots, seed)
+    assert list(pure.sample_shots(n, ops, shots, seed).items()) == unmemoized
 
 
 def test_sample_shots_evolves_a_prefix_once_while_memoized():
@@ -230,20 +251,14 @@ def test_tableau_run_memory_stays_within_a_few_chunks():
     assert peak < 6 * chunk_bytes
 
 
-def test_sample_shots_with_64_random_measurements():
+def test_outcome_map_at_64_random_measurements():
+    """The widest register: the map agrees with the per-shot loop shot by
+    shot, and the sampler, past MAX_RANDOM_BITS, refuses it."""
     n = 64
     ops = [(0, q, 0) for q in range(n)] + [(3, q, (q + 5) % n) for q in range(0, n, 3)]
     ops += [(2, 7, 0), (4, 1, 40), (1, 63, 0)]
-    base = pure.TableauEngine(n)
-    base.apply(ops)
-    _, cols = pure.outcome_map(base)
-    assert len(cols) == 64
+    assert random_bits(n, ops) == 64
     assert_sampler_matches_reference(n, ops, 40, 11)
-    # every index distinct: each chunk size merges 40 one-shot runs
-    whole = list(pure.sample_shots(n, ops, 40, 11).items())
-    for chunk in (1, 3, 7):
-        with mock.patch.object(pure, "SHOT_CHUNK", chunk):
-            assert list(pure.sample_shots(n, ops, 40, 11).items()) == whole
 
 
 @pytest.mark.parametrize("case", list(CaseId))
@@ -254,6 +269,19 @@ def test_sample_shots_on_case_circuits(case, errors):
     circuit = experiments.build_case_circuit(case, "aqecc", positions)
     ops = sim._clifford_ops(circuit)
     assert_sampler_matches_reference(circuit.num_qubits, ops, 200, 42)
+
+
+@pytest.mark.parametrize("seed", [0, 42, -1, (1 << 64) + 5])
+def test_tableau_run_samples_exactly_one_shot(seed):
+    """shots = 1, the smallest count ``tableau_run`` accepts: one outcome,
+    the per-shot loop's shot 0, on a case circuit and on a random one."""
+    for circuit in (experiments.build_case_circuit(CaseId.C3, "aqecc", (0, 5)),
+                    sim.random_clifford_circuit(9, 50, 3)):
+        n = circuit.num_qubits
+        counts = sim.tableau_run(circuit, 1, seed)
+        [outcome] = per_shot_reference(n, sim._clifford_ops(circuit), 1, seed)
+        assert counts.total_shots == 1
+        assert counts.counts == {format(outcome, f"0{n}b")[::-1]: 1}
 
 
 class FixedBits:

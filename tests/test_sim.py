@@ -4,20 +4,18 @@ import json
 import math
 import random
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qgqec import groups, sim
-from qgqec._kernels_py import TableauEngine, outcome_map, outcomes_of
-from qgqec.backend import kernels
+from qgqec import circuits, groups, sim
+from qgqec._kernels_py import TableauEngine, outcome_map
 from qgqec.circuits import Circuit, Counts, parse_count_rows
 from sim_reference import (
-    ShotStream,
     exact_distribution_reference,
+    outcome_of_index,
     random_clifford_circuit_draw_reference,
     random_clifford_circuit_reference,
 )
@@ -52,11 +50,6 @@ def test_exact_distribution_examples():
     assert sim.exact_distribution(Circuit(2)) == {"00": 1.0}
     h = sim.exact_distribution(Circuit(1).h(0))
     assert abs(h["0"] - 0.5) < 1e-12 and abs(h["1"] - 0.5) < 1e-12
-
-
-def test_statevector_run_empty_circuit():
-    counts = sim.statevector_run(Circuit(2), 25, 9)
-    assert counts.counts == {"00": 25}
 
 
 def test_statevector_matches_tableau_on_h_layer():
@@ -96,15 +89,11 @@ def test_tableau_rejects_dense_gates():
 def test_statevector_qubit_cap():
     with pytest.raises(ValueError):
         sim.exact_distribution(Circuit(17))
-    with pytest.raises(ValueError):
-        sim.statevector_run(Circuit(17), 1, 0)
 
 
 def test_shots_validation():
     with pytest.raises(ValueError):
         sim.tableau_run(Circuit(1), 0, 0)
-    with pytest.raises(ValueError):
-        sim.statevector_run(Circuit(1), 0, 0)
 
 
 def test_determinism_same_flags_same_counts():
@@ -113,9 +102,6 @@ def test_determinism_same_flags_same_counts():
     b = sim.tableau_run(c, 300, 123)
     assert a == b
     assert sim.tableau_run(c, 300, 124) != a  # seed actually matters
-    sv1 = sim.statevector_run(c, 300, 123)
-    sv2 = sim.statevector_run(c, 300, 123)
-    assert sv1 == sv2
 
 
 def test_counts_invariant_and_serialization():
@@ -204,64 +190,19 @@ def test_tableau_distribution_is_uniform_on_2_to_the_r_outcomes(n, gates, seed):
     assert sim.total_variation(dist, sim.exact_distribution(circuit)) < 1e-9
 
 
-def statevector_reference(circuit, shots, seed):
-    """The sampler's definition: one stream float per shot, one search each."""
-    flat = sim._final_state(circuit).reshape(-1)
-    cumulative = np.cumsum(np.abs(flat) ** 2)
-    cumulative /= cumulative[-1]
-    hist = {}
-    for shot in range(shots):
-        u = ShotStream(seed, shot).next_float()
-        idx = min(int(np.searchsorted(cumulative, u, side="right")), len(cumulative) - 1)
-        key = format(idx, f"0{circuit.num_qubits}b")
-        hist[key] = hist.get(key, 0) + 1
-    return hist
-
-
-@PROPERTY
-@given(
-    st.integers(1, 8),
-    st.integers(0, 40),
-    st.integers(0, 1 << 62),
-    st.none() | st.floats(-0.9, 0.9),
-    st.integers(1, 500),
-    st.integers(-(1 << 64), 1 << 64),
-)
-def test_statevector_run_equals_per_shot_loop(n, gates, circuit_seed, epsilon, shots, seed):
-    circuit = sim.random_clifford_circuit(n, gates, circuit_seed)
-    if epsilon is not None and n >= 2:
-        circuit.unitary(groups.cz_epsilon(epsilon, "formula"), (0, n - 1))
-    counts = sim.statevector_run(circuit, shots, seed)
-    assert counts.counts == statevector_reference(circuit, shots, seed)
-    assert counts.total_shots == shots
-
-
-@PROPERTY
-@given(st.integers(1, 6), st.integers(0, 30), st.integers(0, 1 << 62), st.integers(1, 60),
-       st.integers(-(1 << 64), 1 << 64))
-def test_statevector_run_any_chunk_size_gives_one_histogram(n, gates, circuit_seed, shots, seed):
-    circuit = sim.random_clifford_circuit(n, gates, circuit_seed)
-    whole = sim.statevector_run(circuit, shots, seed)
-    assert kernels.SHOT_CHUNK >= shots  # one chunk
-    for chunk in (1, 2, 7, shots):
-        with mock.patch.object(kernels, "SHOT_CHUNK", chunk):
-            assert list(sim.statevector_run(circuit, shots, seed).counts.items()) == \
-                list(whole.counts.items())
-
-
 @PROPERTY
 @given(st.integers(1, 64), st.integers(0, 60), st.integers(-(1 << 70), 1 << 70))
-def test_tableau_distribution_support_is_outcomes_of_in_index_order(n, gates, seed):
+def test_tableau_distribution_support_is_the_index_map_in_index_order(n, gates, seed):
     """The support, built by doubling, in insertion order: the outcome of
-    each random-bit index 0..2^r-1 as ``outcomes_of`` maps it."""
+    each random-bit index 0..2^r-1, o0 XOR the cols of its set bits."""
     circuit = sim.random_clifford_circuit(n, gates, seed)
     engine = TableauEngine(n)
     engine.apply(sim._clifford_ops(circuit))
     o0, cols = outcome_map(engine)
     assume(len(cols) <= 16)
-    support = outcomes_of(o0, cols, np.arange(1 << len(cols), dtype=np.uint64)).tolist()
     prob = 0.5 ** len(cols)
-    rendered = [(format(out, f"0{n}b")[::-1], prob) for out in support]
+    rendered = [(format(outcome_of_index(o0, cols, i), f"0{n}b")[::-1], prob)
+                for i in range(1 << len(cols))]
     assert list(sim.tableau_distribution(circuit).items()) == rendered
 
 
@@ -310,9 +251,9 @@ def test_random_clifford_circuit_equals_choice_and_randrange_draws(n, gates, see
 
 
 def test_gate_cache_is_bounded():
-    assert sim._gate.cache_info().maxsize == sim.GATE_CACHE_SIZE
+    assert circuits._gate.cache_info().maxsize == circuits.GATE_CACHE_SIZE
     sim.random_clifford_circuit(64, 20_000, seed=3)  # more distinct gates than the cache holds
-    assert sim._gate.cache_info().currsize <= sim.GATE_CACHE_SIZE
+    assert circuits._gate.cache_info().currsize <= circuits.GATE_CACHE_SIZE
 
 
 @pytest.mark.parametrize("n", range(2, 17))
@@ -455,3 +396,23 @@ def test_circuit_validation():
         c.cnot(1, 1)
     with pytest.raises(ValueError):
         c.unitary(np.eye(3), (0,))
+
+
+def test_circuit_methods_share_one_gate_per_name_and_qubits():
+    """Clifford gates come from the shared frozen cache, as in
+    ``random_clifford_circuit``; a dense gate is built per call, and a bad
+    qubit is refused before the cache sees it."""
+    a, b = Circuit(3).x(1), Circuit(3).x(1)
+    assert a.gates[0] is b.gates[0] == circuits.Gate("X", (1,))
+    pairs = Circuit(3).h(0).z(2).cnot(0, 2).cz(2, 1), Circuit(3).h(0).z(2).cnot(0, 2).cz(2, 1)
+    assert all(g is h for g, h in zip(pairs[0].gates, pairs[1].gates))
+    g = sim.random_clifford_circuit(3, 40, 5).gates[0]
+    assert getattr(Circuit(3), g.name.lower())(*g.qubits).gates[0] is g
+    u, v = Circuit(1).unitary(np.eye(2), (0,)), Circuit(1).unitary(np.eye(2), (0,))
+    assert u.gates[0] is not v.gates[0]
+    misses = circuits._gate.cache_info().misses
+    c = Circuit(3)
+    for bad in (lambda: c.x(3), lambda: c.h(-1), lambda: c.cnot(1, 1), lambda: c.cz(0, 3)):
+        with pytest.raises(ValueError):
+            bad()
+    assert c.gates == [] and circuits._gate.cache_info().misses == misses
