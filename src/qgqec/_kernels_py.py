@@ -15,16 +15,16 @@ Gidney's Stim): whether measurement q is random does not depend on earlier
 outcomes, and every outcome bit is an XOR of the random bits consumed before
 it.  ``outcome_map`` finds that map in one measurement pass with every
 random bit 0, tracking one Pauli frame per random measurement, and reads the
-deterministic outcomes from the stabilizer signs at the end.  X and Z gates
-just before measurement only move that map's reference outcome (a Pauli
-frame), so ``sample_shots`` evolves each Clifford prefix once while a small
-memo holds it and folds the trailing X/Z gates into its o0.  A shot's
-outcome is then entry i of ``gf2.span(cols, o0)``, i its random-bit
-index, so ``sample_shots`` counts the indices of ``SHOT_CHUNK`` shots at a
-time into 2^r totals (one ``np.bincount`` per chunk) and reads the outcomes
-off that span: memory stays within a few chunks at any shot count.  Past
-``MAX_RANDOM_BITS`` (16) random measurements it refuses; every preset has
-r <= 4.
+deterministic outcomes from the stabilizer signs at the end;
+``outcome_support`` checks the ops, runs it, and refuses a map of more than
+``MAX_RANDOM_BITS`` (16) random bits (every preset has r <= 4).  A shot's
+outcome is entry i of ``gf2.span(cols, o0)``, the one span enumerator, i
+its random-bit index.  X and Z gates just before measurement only move o0
+(a Pauli frame), so ``sample_shots`` evolves each Clifford prefix once while
+a small memo holds it and folds the trailing X/Z gates into its o0, counts
+the indices of ``SHOT_CHUNK`` shots at a time into 2^r totals (one
+``np.bincount`` per chunk) and reads the outcomes off that span: memory
+stays within a few chunks at any shot count.
 
 The decode sweep relies on the code being linear: a pattern's distances to
 the k codewords decide every received word it makes, and they depend only
@@ -34,7 +34,8 @@ weight over the types once, all of them in 8-bit lanes of a few Python ints,
 and counts it for every pattern it stands for, as in the split weight
 enumerators of MacWilliams & Sloane.  A code whose compositions times its k
 codewords would pass ``SWEEP_CELLS`` is refused, so memory stays bounded
-(every preset needs under 10,000).
+(every preset needs under 10,000); ``_sweep_table`` checks the codewords
+against ``gf2.span`` of their basis, a span no longer than the input.
 """
 
 from __future__ import annotations
@@ -224,17 +225,37 @@ def _counted_indices(seed: int, shots: int, r: int):
     return totals
 
 
+def outcome_support(num_qubits: int, ops) -> tuple[int, list[int]]:
+    """(o0, cols): the outcomes of `ops` from |0...0> are ``gf2.span(cols,
+    o0)``, 2^r of them at probability 2^-r.  The sampler's memo and
+    ``sim.tableau_distribution`` both derive their map here, so the checks
+    sit here: an op qubit outside 0..n-1, a CNOT or CZ on one qubit, and
+    more than ``MAX_RANDOM_BITS`` random measurements raise ValueError."""
+    for code, a, b in ops:
+        pair = OP_CNOT <= code <= OP_CZ
+        if not 0 <= a < num_qubits or pair and (not 0 <= b < num_qubits or a == b):
+            for q in (a, b) if pair else (a,):
+                if not 0 <= q < num_qubits:
+                    raise ValueError(f"qubit {q} out of range for {num_qubits} qubits")
+            raise ValueError("gate qubits must be distinct")
+    engine = TableauEngine(num_qubits)
+    engine.apply(ops)
+    o0, cols = outcome_map(engine)
+    if len(cols) > MAX_RANDOM_BITS:
+        raise ValueError(f"the tableau enumerates at most {MAX_RANDOM_BITS} random "
+                         f"measurements, got {len(cols)}")
+    return o0, cols
+
+
 @lru_cache(maxsize=OUTCOME_MAP_CACHE)
 def _prefix_map(num_qubits: int, prefix: tuple) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """(o0, cols, flips) of a Clifford prefix, built once while it stays in
-    the memo: ``outcome_map`` of the evolved tableau, cols as a tuple, and
-    per qubit q the mask an X on q just before measurement XORs into o0.
-    That is bit q on a deterministic qubit; on the qubit of random
-    measurement i, whose outcome is the shot's own bit, it is cols[i]
-    without bit q (cols[i]'s lowest set bit)."""
-    base = TableauEngine(num_qubits)
-    base.apply(prefix)
-    o0, cols = outcome_map(base)
+    the memo: ``outcome_support`` of the prefix, cols as a tuple, and per
+    qubit q the mask an X on q just before measurement XORs into o0.  That
+    is bit q on a deterministic qubit; on the qubit of random measurement
+    i, whose outcome is the shot's own bit, it is cols[i] without bit q
+    (cols[i]'s lowest set bit)."""
+    o0, cols = outcome_support(num_qubits, prefix)
     flips = [1 << q for q in range(num_qubits)]
     for col in cols:
         low = col & -col
@@ -260,9 +281,9 @@ def sample_shots(num_qubits: int, ops, shots: int, seed: int) -> dict[int, int]:
     entry i of ``gf2.span(cols, o0)``.  So the indices are counted into 2^r
     totals ``SHOT_CHUNK`` shots at a time (``_counted_indices``) and read
     off against that span, the support ``sim.tableau_distribution`` lists:
-    memory stays within a few chunks at any shot count.  More than
-    ``MAX_RANDOM_BITS`` random measurements raise ValueError, as the
-    tableau refuses more than ``MAX_TABLEAU_QUBITS`` qubits.
+    memory stays within a few chunks at any shot count.  A bad prefix qubit
+    and more than ``MAX_RANDOM_BITS`` random measurements raise ValueError
+    from ``outcome_support``, once per memo miss.
     """
     ops = tuple(ops)
     end = len(ops)
@@ -274,27 +295,8 @@ def sample_shots(num_qubits: int, ops, shots: int, seed: int) -> dict[int, int]:
             raise ValueError(f"qubit {q} out of range for {num_qubits} qubits")
         if code == OP_X:
             o0 ^= flips[q]
-    if len(cols) > MAX_RANDOM_BITS:
-        raise ValueError(f"sampling supports at most {MAX_RANDOM_BITS} random measurements, "
-                         f"got {len(cols)}")
     totals = _counted_indices(seed, shots, len(cols)).tolist()
     return {o: c for o, c in zip(gf2.span(cols, o0), totals) if c}
-
-
-def _check_linear(m: int, cws: tuple[int, ...]) -> None:
-    """Reject codewords that are not the 2^n codewords of a linear code
-    indexed like ``QCCode.codewords()``: cws[l] is the XOR of cws[2^b] over
-    the bits b set in l, so cws[0] == 0.  O(k) integer operations."""
-    k = len(cws)
-    if k == 0 or k & (k - 1):
-        raise ValueError(f"need 2^n codewords, got {k}")
-    if cws[0] != 0:
-        raise ValueError("codeword 0 must be the zero word")
-    for l in range(1, k):
-        if not 0 <= cws[l] < 1 << m:
-            raise ValueError(f"codeword {l} is not an {m}-bit word")
-        if cws[l] != cws[l & (l - 1)] ^ cws[l & -l]:
-            raise ValueError(f"codeword {l} is not the XOR of its basis words")
 
 
 @lru_cache(maxsize=8)
@@ -305,10 +307,14 @@ def _sweep_table(m: int, cws: tuple[int, ...]):
     groups[b] holds, for each t of top bit b, the types t covers, 128 -
     ceil(c_t / 2) and [c_t even], c_t = wt(cw_t).  `weights` keeps each
     swept weight's ``_weight_table``; a code of more than ``SWEEP_CELLS``
-    compositions (over all weights) times k is refused up front."""
-    _check_linear(m, cws)
+    compositions (over all weights) times k is refused up front.  cws must
+    equal ``gf2.span`` of its m-bit basis words cws[2^b], as
+    ``QCCode.codewords()`` does, so k = 2^n and cws[0] = 0."""
     k = len(cws)
     basis = [cws[1 << b] for b in range(k.bit_length() - 1)]
+    if k & (k - 1) or any(not 0 <= word < 1 << m for word in basis) or list(cws) != gf2.span(basis):
+        raise ValueError(f"need the 2^n codewords of a linear code on {m} bits, "
+                         "each the XOR of its basis words cws[2^b]")
     columns = Counter(sum((word >> p & 1) << b for b, word in enumerate(basis)) for p in range(m))
     if prod(s + 1 for s in columns.values()) * k > SWEEP_CELLS:
         raise ValueError(f"sweep supports at most {SWEEP_CELLS} compositions times codewords")

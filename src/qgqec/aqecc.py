@@ -20,7 +20,7 @@ from qgqec.cases import CaseId
 if TYPE_CHECKING:
     from qgqec import pauli
 
-MAX_LOGICAL = 20  # 2^N codeword enumeration cap
+MAX_LOGICAL = 16  # rows min_distance takes: a 2^N-int span, 2 MB at 16
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ class QCCode:
             raise ValueError("generator rows must be N bit-vectors of length M")
         if gf2.rank(rows, m) != n:
             raise ValueError("generator rows are linearly dependent")
-        if min_distance(list(self.generator_rows)) != self.spec.distance:
+        if _least_weight(self._codewords) != self.spec.distance:
             raise ValueError("brute-force distance does not match spec")
 
     @property
@@ -63,7 +63,7 @@ class QCCode:
 
     @cached_property
     def _codewords(self) -> tuple[int, ...]:
-        # bit n-1-j of the index selects row j, so the last row is vector 0
+        # N <= 4 (CaseId); bit n-1-j of the index selects row j, so the last row is vector 0
         rows = [bits_to_int(r) for r in reversed(self.generator_rows)]
         return tuple(gf2.span(rows))
 
@@ -88,11 +88,10 @@ class QCCode:
 
 
 def min_distance(rows: list[str]) -> int:
-    """Minimum Hamming weight over all nonzero GF(2) row combinations.
-
-    Gray-code enumeration of the 2^N - 1 combinations; returns 0 when the
-    rows are dependent (some nonzero combination cancels).  Rows of unequal
-    length raise ValueError.
+    """Minimum Hamming weight over all nonzero GF(2) row combinations:
+    entries 1..2^N - 1 of ``gf2.span``, so 0 when the rows are dependent
+    (some nonzero combination cancels).  Rows of unequal length, and more
+    than ``MAX_LOGICAL`` rows, raise ValueError.
     """
     if not rows:
         raise ValueError("need at least one row")
@@ -104,14 +103,12 @@ def min_distance(rows: list[str]) -> int:
     n = len(ints)
     if n > MAX_LOGICAL:
         raise ValueError(f"too many rows to enumerate ({n} > {MAX_LOGICAL})")
-    best = None
-    acc = 0
-    for i in range(1, 1 << n):
-        acc ^= ints[(i & -i).bit_length() - 1]
-        w = popcount(acc)
-        if best is None or w < best:
-            best = w
-    return best
+    return _least_weight(gf2.span(ints))
+
+
+def _least_weight(span) -> int:
+    """Least weight of a span's entries past entry 0, the empty combination."""
+    return min(map(popcount, span[1:]))
 
 
 def build_qc_code(case) -> QCCode:
@@ -139,9 +136,8 @@ def _build_qc_code(case: CaseId) -> QCCode:
 def _search_base(m: int, n: int, d: int, stride: int) -> list[int]:
     for v in range(1, 1 << m):
         rows = [rotl(v, j * stride, m) for j in range(n)]
-        if gf2.rank(rows, m) != n:
-            continue
-        if min_distance([int_to_bits(r, m) for r in rows]) == d:
+        # least weight d >= 3 > 0 already makes the rows independent
+        if _least_weight(gf2.span(rows)) == d:
             return rows
     raise RuntimeError(
         f"quasi-cyclic base search exhausted for [{m},{n},{d}] stride {stride}; "

@@ -2,16 +2,16 @@
 
 The tableau engine (``backend.kernels``) simulates Clifford circuits exactly
 at up to 64 qubits.  Its outcomes are an affine map over GF(2) of the random
-measurement bits (``kernels.outcome_map``), whose support o0 ^ span(cols),
-2^r outcomes of probability 2^-r each, gives both the sampled counts and the
-exact distribution.  ``tableau_run`` samples from counter-based per-shot
-streams (vectorised by ``rng.first_words``), so identical (circuit, shots,
-seed) always yields identical Counts; it takes shots ``kernels.SHOT_CHUNK``
-at a time and keeps only 2^r totals across chunks, so memory stays bounded
-at any shot count, and it refuses more than ``kernels.MAX_RANDOM_BITS``
-random measurements.  It renders one bitstring per distinct outcome,
-inserted in ascending random-bit index order; every serialiser sorts its
-keys, so the order never reaches the output.
+measurement bits (``kernels.outcome_support``, which refuses more than
+``kernels.MAX_RANDOM_BITS`` of them), whose support o0 ^ span(cols), 2^r
+outcomes of probability 2^-r each listed by ``gf2.span``, gives both the
+sampled counts and the exact distribution.  ``tableau_run`` samples from
+counter-based per-shot streams (vectorised by ``rng.first_words``), so
+identical (circuit, shots, seed) always yields identical Counts; it takes
+shots ``kernels.SHOT_CHUNK`` at a time and keeps only 2^r totals across
+chunks, so memory stays bounded at any shot count.  It renders one bitstring
+per distinct outcome, inserted in ascending random-bit index order; every
+serialiser sorts its keys, so the order never reaches the output.
 
 The dense statevector engine (<= 16 qubits) is the exactness oracle and
 additionally accepts dense 1- and 2-qubit operators; it gives exact
@@ -78,18 +78,14 @@ def tableau_run(circuit: Circuit, shots: int, seed: int) -> Counts:
 
 
 def tableau_distribution(circuit: Circuit) -> dict[str, float]:
-    """Analytic outcome probabilities from the tableau's outcome map.
-
-    The support is o0 ^ span(cols), 2^r distinct outcomes of probability
-    2^-r each, so the result is exact (dyadic) in floating point.
-    ``gf2.span`` lists them in random-bit index order, the support that
-    ``kernels.sample_shots`` reads its counts against.
+    """Analytic outcome probabilities: the support o0 ^ span(cols) of
+    ``kernels.outcome_support``, 2^r outcomes of probability 2^-r each, so
+    the result is exact (dyadic) in floating point.  ``gf2.span`` lists them
+    in random-bit index order, the support that ``kernels.sample_shots``
+    reads its counts against; both refuse the same ops.
     """
-    ops = _clifford_ops(circuit)
     n = circuit.num_qubits
-    root = kernels.TableauEngine(n)
-    root.apply(ops)
-    o0, cols = kernels.outcome_map(root)
+    o0, cols = kernels.outcome_support(n, _clifford_ops(circuit))
     prob = 0.5 ** len(cols)
     return {_render(out, n): prob for out in gf2.span(cols, o0)}
 

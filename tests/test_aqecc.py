@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qgqec import aqecc, gf2, pauli
 from qgqec._bits import bits_to_int, int_to_bits, rotl
@@ -61,6 +63,63 @@ def test_min_distance_against_exhaustive_oracle():
         assert aqecc.min_distance(rows) == min(weights)
 
 
+def gray_code_min_distance(ints):
+    """The brute-force oracle: walk all 2^N - 1 nonzero combinations in
+    Gray-code order, one row XOR per step, and keep the least weight."""
+    best, acc = None, 0
+    for i in range(1, 1 << len(ints)):
+        acc ^= ints[(i & -i).bit_length() - 1]
+        if best is None or acc.bit_count() < best:
+            best = acc.bit_count()
+    return best
+
+
+@st.composite
+def generator_rows(draw):
+    """(m, rows): 1-16 rows of 1-64 bits, not all zero; about half the time
+    one row is set to the XOR of some others (zero and repeated rows
+    included), so the rows are dependent."""
+    m = draw(st.integers(1, 64))
+    rows = draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=16))
+    if len(rows) > 1 and draw(st.booleans()):
+        i = draw(st.integers(0, len(rows) - 1))
+        others = draw(st.lists(st.sampled_from([j for j in range(len(rows)) if j != i]), unique=True))
+        rows[i] = 0
+        for j in others:
+            rows[i] ^= rows[j]
+    assume(any(rows))
+    return m, rows
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(generator_rows())
+def test_min_distance_equals_gray_code_oracle(code):
+    m, ints = code
+    d = aqecc.min_distance([format(v, f"0{m}b") for v in ints])
+    assert d == gray_code_min_distance(ints)
+    assert (d == 0) == (gf2.rank(ints, m) < len(ints))
+
+
+def test_min_distance_takes_at_most_max_logical_rows():
+    assert aqecc.MAX_LOGICAL == 16
+    identity = [format(1 << j, "017b") for j in range(17)]
+    assert aqecc.min_distance(identity[:16]) == 1
+    with pytest.raises(ValueError, match=r"too many rows to enumerate \(17 > 16\)"):
+        aqecc.min_distance(identity)
+
+
+def test_qc_code_checks_its_rows():
+    rows = ("00000111", "00011100", "01110000")
+    aqecc.QCCode(CaseId.C1, rows)
+    with pytest.raises(ValueError, match="N bit-vectors of length M"):
+        aqecc.QCCode(CaseId.C1, rows[:2])
+    with pytest.raises(ValueError, match="linearly dependent"):
+        aqecc.QCCode(CaseId.C1, rows[:2] + ("00011011",))
+    # independent rows of least weight 2, not the spec's 3
+    with pytest.raises(ValueError, match="does not match spec"):
+        aqecc.QCCode(CaseId.C1, ("00000011", "00011100", "01110000"))
+
+
 def test_build_presets_match_parameters():
     for case, (m, n, d, p) in PRESETS.items():
         code = aqecc.build_qc_code(case)
@@ -84,6 +143,9 @@ def test_build_known_bases():
     c1 = aqecc.build_qc_code(CaseId.C1)
     assert c1.stride == 2
     assert list(c1.generator_rows) == ["00000111", "00011100", "01110000"]
+    c2 = aqecc.build_qc_code(CaseId.C2)
+    assert c2.stride == 2
+    assert list(c2.generator_rows) == ["0000000111", "0000011100", "0001110000", "0111000000"]
 
 
 def test_rows_are_cyclic_shifts_of_base():

@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 from qgqec import aqecc, experiments, gf2, sim
 from qgqec.backend import kernels as pure
 from qgqec.cases import CaseId
+from qgqec.circuits import Circuit, Gate
 from qgqec.rng import first_words
 import sweep_reference
 from row_tableau import RowTableau
@@ -234,6 +235,32 @@ def test_sample_shots_refuses_a_trailing_qubit_out_of_range(suffix):
     for prefix in ([], [(pure.OP_H, 0, 0), (pure.OP_CNOT, 0, 2)]):
         with pytest.raises(ValueError, match="out of range for 3 qubits"):
             pure.sample_shots(3, prefix + suffix, 16, 1)
+
+
+@pytest.mark.parametrize("op, message", [
+    ((pure.OP_H, -1, 0), "qubit -1 out of range for 3 qubits"),
+    ((pure.OP_Z, 3, 0), "qubit 3 out of range for 3 qubits"),
+    ((pure.OP_CNOT, 0, -1), "qubit -1 out of range for 3 qubits"),
+    ((pure.OP_CZ, 5, 1), "qubit 5 out of range for 3 qubits"),
+    ((pure.OP_CNOT, 1, 1), "gate qubits must be distinct"),
+    ((pure.OP_CZ, 2, 2), "gate qubits must be distinct"),
+])
+def test_sample_shots_and_tableau_distribution_refuse_a_bad_prefix_op(op, message):
+    """A prefix op reaches the tableau, so ``outcome_support`` checks its
+    qubits before it builds the engine: with or without a trailing X/Z run,
+    in ``sample_shots`` and in ``sim.tableau_distribution`` alike."""
+    name = {pure.OP_H: "H", pure.OP_Z: "Z", pure.OP_CNOT: "CNOT", pure.OP_CZ: "CZ"}[op[0]]
+    circuit = Circuit(3).h(0)
+    circuit.gates.append(Gate(name, op[1:] if op[0] >= pure.OP_CNOT else op[1:2]))
+    circuit.h(1)
+    ops = sim._clifford_ops(circuit)
+    with mock.patch.object(pure, "TableauEngine") as engine:
+        for suffix in ([], [(pure.OP_X, 2, 0)]):
+            with pytest.raises(ValueError, match=message):
+                pure.sample_shots(3, ops + suffix, 16, 1)
+        with pytest.raises(ValueError, match=message):
+            sim.tableau_distribution(circuit)
+    assert engine.call_count == 0
 
 
 def test_tableau_run_memory_stays_within_a_few_chunks():

@@ -7,12 +7,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qgqec import circuits, groups, sim
 from qgqec._kernels_py import TableauEngine, outcome_map
-from qgqec.circuits import Circuit, Counts, parse_count_rows
+from qgqec.circuits import Circuit, Counts, Gate, parse_count_rows
 from sim_reference import (
     exact_distribution_reference,
     outcome_of_index,
@@ -84,6 +84,31 @@ def test_tableau_rejects_dense_gates():
         sim.tableau_run(c, 10, 1)
     with pytest.raises(ValueError):
         sim.tableau_distribution(c)
+
+
+def test_tableau_backends_refuse_a_qubit_out_of_range():
+    """A hand-appended gate bypasses ``Circuit``'s check; the tableau
+    sampler and distribution both refuse it instead of wrapping it."""
+    c = Circuit(3)
+    c.gates.append(Gate("X", (-1,)))
+    with pytest.raises(ValueError, match="qubit -1 out of range for 3 qubits"):
+        sim.tableau_distribution(c)
+    with pytest.raises(ValueError, match="qubit -1 out of range for 3 qubits"):
+        sim.tableau_run(c, 8, 1)
+
+
+def test_tableau_backends_refuse_17_random_measurements():
+    """16 random measurements are the most either tableau path enumerates:
+    2^16 outcomes are listed, and a 17th is refused by both alike."""
+    c = Circuit(17)
+    for q in range(16):
+        c.h(q)
+    dist = sim.tableau_distribution(c)
+    assert len(dist) == 1 << 16 and set(dist.values()) == {2.0**-16}
+    c.h(16)
+    for run in (sim.tableau_distribution, lambda circuit: sim.tableau_run(circuit, 8, 1)):
+        with pytest.raises(ValueError, match="at most 16 random measurements, got 17"):
+            run(c)
 
 
 def test_statevector_qubit_cap():
@@ -192,14 +217,21 @@ def test_tableau_distribution_is_uniform_on_2_to_the_r_outcomes(n, gates, seed):
 
 @PROPERTY
 @given(st.integers(1, 64), st.integers(0, 60), st.integers(-(1 << 70), 1 << 70))
+@example(64, 60, 21)  # r = 16, the widest support listed
+@example(64, 60, 63)  # r = 17
+@example(64, 60, 241)  # r = 18
 def test_tableau_distribution_support_is_the_index_map_in_index_order(n, gates, seed):
     """The support, built by doubling, in insertion order: the outcome of
-    each random-bit index 0..2^r-1, o0 XOR the cols of its set bits."""
+    each random-bit index 0..2^r-1, o0 XOR the cols of its set bits.  Past
+    16 random measurements the distribution is refused instead."""
     circuit = sim.random_clifford_circuit(n, gates, seed)
     engine = TableauEngine(n)
     engine.apply(sim._clifford_ops(circuit))
     o0, cols = outcome_map(engine)
-    assume(len(cols) <= 16)
+    if len(cols) > 16:
+        with pytest.raises(ValueError, match=f"at most 16 random measurements, got {len(cols)}"):
+            sim.tableau_distribution(circuit)
+        return
     prob = 0.5 ** len(cols)
     rendered = [(format(outcome_of_index(o0, cols, i), f"0{n}b")[::-1], prob)
                 for i in range(1 << len(cols))]
