@@ -13,18 +13,19 @@ summing the phases in a bit-sliced mod-4 counter.
 Shot sampling is affine over GF(2) (reference sample plus frames, as in
 Gidney's Stim): whether measurement q is random does not depend on earlier
 outcomes, and every outcome bit is an XOR of the random bits consumed before
-it.  ``outcome_map`` finds that map in one measurement pass with every
-random bit 0, tracking one Pauli frame per random measurement, and reads the
-deterministic outcomes from the stabilizer signs at the end;
-``outcome_support`` checks the ops, runs it, and refuses a map of more than
-``MAX_RANDOM_BITS`` (16) random bits (every preset has r <= 4).  A shot's
-outcome is entry i of ``gf2.span(cols, o0)``, the one span enumerator, i
-its random-bit index.  X and Z gates just before measurement only move o0
-(a Pauli frame), so ``sample_shots`` evolves each Clifford prefix once while
-a small memo holds it and folds the trailing X/Z gates into its o0, counts
-the indices of ``SHOT_CHUNK`` shots at a time into 2^r totals (one
-``np.bincount`` per chunk) and reads the outcomes off that span: memory
-stays within a few chunks at any shot count.
+it.  ``outcome_map`` checks the ops and finds that map in one measurement
+pass with every random bit 0, tracking one Pauli frame per random
+measurement, and reads the deterministic outcomes from the stabilizer signs
+at the end; each column's lowest set bit (its pivot) is clear in every other
+column and in o0.  ``outcome_support`` refuses more than ``MAX_RANDOM_BITS``
+(16) random bits (every preset has r <= 4).  A shot's outcome is entry i of
+``gf2.span(cols, o0)``, the one span enumerator, i its random-bit index.  X
+and Z gates just before measurement only move o0 (a Pauli frame), so
+``sample_shots`` evolves each Clifford prefix once while a small memo holds
+its map, XORs the trailing X's into o0 and clears each pivot that sets with
+its column, counts the indices of ``SHOT_CHUNK`` shots at a time into 2^r
+totals (one ``np.bincount`` per chunk) and reads the outcomes off that span:
+memory stays within a few chunks at any shot count.
 
 The decode sweep relies on the code being linear: a pattern's distances to
 the k codewords decide every received word it makes, and they depend only
@@ -87,12 +88,6 @@ class TableauEngine:
         self.xcols = [1 << q for q in range(n)]
         self.zcols = [1 << (n + q) for q in range(n)]
         self.signs = 0
-
-    def copy(self) -> "TableauEngine":
-        t = TableauEngine.__new__(TableauEngine)
-        t.n, t.signs = self.n, self.signs
-        t.xcols, t.zcols = self.xcols[:], self.zcols[:]
-        return t
 
     def apply(self, ops) -> None:
         """Conjugate every row by each gate in turn (Aaronson & Gottesman's
@@ -178,23 +173,35 @@ class TableauEngine:
         return flip
 
 
-def outcome_map(engine) -> tuple[int, list[int]]:
-    """(o0, cols): measuring all qubits of `engine` with random bits b_i
-    gives o0 ^ XOR of cols[i] over the set b_i.
+def outcome_map(num_qubits: int, ops) -> tuple[int, tuple[int, ...]]:
+    """(o0, cols): measuring all qubits after `ops` from |0...0> with random
+    bits b_i gives o0 ^ XOR of cols[i] over the set b_i.  An op qubit outside
+    0..n-1 and a CNOT or CZ on one qubit raise ValueError before any engine
+    is built.
 
-    One pass over one copy projects the random measurements, in qubit order,
-    with every random bit 0.  Flipping bit i applies the Pauli frame of
-    measurement i, whose X mask flips every later deterministic outcome it
-    touches; a later random measurement keeps its own bit, so it multiplies
-    its own Pauli into every frame it flips.  After the pass every qubit is
-    measured, so every stabilizer is a +-Z string, and Z_q is the product of
-    the stabilizers whose destabilizers have X on q: bit q of o0 is the
-    parity of their signs, with no phase sum.  `engine` is left unchanged.
+    One pass over a fresh engine projects the random measurements, in qubit
+    order, with every random bit 0.  Flipping bit i applies the Pauli frame
+    of measurement i, whose X mask flips every later deterministic outcome
+    it touches; a later random measurement keeps its own bit, so it
+    multiplies its own Pauli into every frame it flips.  After the pass
+    every qubit is measured, so every stabilizer is a +-Z string, and Z_q is
+    the product of the stabilizers whose destabilizers have X on q: bit q of
+    o0 is the parity of their signs, with no phase sum.  The lowest set bit
+    of cols[i], its pivot, is the qubit of random measurement i, so it is
+    clear in every other column and in o0: cols is the reduced echelon basis.
     """
-    t = engine.copy()
+    for code, a, b in ops:
+        pair = OP_CNOT <= code <= OP_CZ
+        if not 0 <= a < num_qubits or pair and (not 0 <= b < num_qubits or a == b):
+            for q in (a, b) if pair else (a,):
+                if not 0 <= q < num_qubits:
+                    raise ValueError(f"qubit {q} out of range for {num_qubits} qubits")
+            raise ValueError("gate qubits must be distinct")
+    t = TableauEngine(num_qubits)
+    t.apply(ops)
     frames: list[int] = []
     cols: list[int] = []
-    for q in range(t.n):
+    for q in range(num_qubits):
         bit = 1 << q
         if t.is_random(q):
             flip = t.project(q, 0)
@@ -203,11 +210,11 @@ def outcome_map(engine) -> tuple[int, list[int]]:
             cols.append(bit)
         else:
             cols = [c | bit if f & bit else c for c, f in zip(cols, frames)]
-    stab_signs = t.signs >> t.n
+    stab_signs = t.signs >> num_qubits
     o0 = 0
     for q, x in enumerate(t.xcols):
         o0 |= (popcount(x & stab_signs) & 1) << q
-    return o0, cols
+    return o0, tuple(cols)
 
 
 def _counted_indices(seed: int, shots: int, r: int):
@@ -225,55 +232,37 @@ def _counted_indices(seed: int, shots: int, r: int):
     return totals
 
 
-def outcome_support(num_qubits: int, ops) -> tuple[int, list[int]]:
+def outcome_support(num_qubits: int, ops) -> tuple[int, tuple[int, ...]]:
     """(o0, cols): the outcomes of `ops` from |0...0> are ``gf2.span(cols,
-    o0)``, 2^r of them at probability 2^-r.  The sampler's memo and
-    ``sim.tableau_distribution`` both derive their map here, so the checks
-    sit here: an op qubit outside 0..n-1, a CNOT or CZ on one qubit, and
-    more than ``MAX_RANDOM_BITS`` random measurements raise ValueError."""
-    for code, a, b in ops:
-        pair = OP_CNOT <= code <= OP_CZ
-        if not 0 <= a < num_qubits or pair and (not 0 <= b < num_qubits or a == b):
-            for q in (a, b) if pair else (a,):
-                if not 0 <= q < num_qubits:
-                    raise ValueError(f"qubit {q} out of range for {num_qubits} qubits")
-            raise ValueError("gate qubits must be distinct")
-    engine = TableauEngine(num_qubits)
-    engine.apply(ops)
-    o0, cols = outcome_map(engine)
+    o0)``, 2^r of them at probability 2^-r.  This is ``outcome_map``, whose
+    op checks hold, bounded: more than ``MAX_RANDOM_BITS`` random
+    measurements raise ValueError.  The sampler's memo and
+    ``sim.tableau_distribution`` both derive their map here."""
+    o0, cols = outcome_map(num_qubits, ops)
     if len(cols) > MAX_RANDOM_BITS:
         raise ValueError(f"the tableau enumerates at most {MAX_RANDOM_BITS} random "
                          f"measurements, got {len(cols)}")
     return o0, cols
 
 
-@lru_cache(maxsize=OUTCOME_MAP_CACHE)
-def _prefix_map(num_qubits: int, prefix: tuple) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """(o0, cols, flips) of a Clifford prefix, built once while it stays in
-    the memo: ``outcome_support`` of the prefix, cols as a tuple, and per
-    qubit q the mask an X on q just before measurement XORs into o0.  That
-    is bit q on a deterministic qubit; on the qubit of random measurement
-    i, whose outcome is the shot's own bit, it is cols[i] without bit q
-    (cols[i]'s lowest set bit)."""
-    o0, cols = outcome_support(num_qubits, prefix)
-    flips = [1 << q for q in range(num_qubits)]
-    for col in cols:
-        low = col & -col
-        flips[low.bit_length() - 1] = col ^ low
-    return o0, tuple(cols), tuple(flips)
+# the sampler's memo: a Clifford prefix's map, keyed by (num_qubits, ops)
+_prefix_map = lru_cache(maxsize=OUTCOME_MAP_CACHE)(outcome_support)
 
 
 def sample_shots(num_qubits: int, ops, shots: int, seed: int) -> dict[int, int]:
     """Simulate the Clifford prefix once per memo entry, fold the trailing
-    X and Z gates into its outcome map, then measure `shots` independent
+    X and Z gates into its reference outcome, then measure `shots` independent
     copies; returns {outcome: count} with keys in ascending random-bit index
     order.
 
     The trailing run of X/Z ops is a Pauli frame on the prefix's reference
     sample (as in Gidney's Stim): Z changes no outcome, and X on qubit q
-    XORs ``_prefix_map``'s flips[q] into o0, leaving cols as they are.  So
-    the prefix's map is kept in an ``OUTCOME_MAP_CACHE``-entry memo keyed by
-    (num_qubits, prefix ops), and a case encoder is evolved once whatever
+    flips bit q of o0.  On the qubit of a random measurement, its column's
+    pivot, that is a flip of the shot's own bit, so each column whose pivot
+    o0 then has set is XORed into it: pivots are distinct and clear in every
+    other column, so o0 moves by the X mask and the columns it pivots.  The
+    prefix's map is kept in an ``OUTCOME_MAP_CACHE``-entry memo keyed by
+    (num_qubits, prefix ops), so a case encoder is evolved once whatever
     errors follow it.  A trailing qubit outside 0..n-1 raises ValueError.
 
     Shot s consumes the low r bits of the first word of its stream
@@ -289,12 +278,15 @@ def sample_shots(num_qubits: int, ops, shots: int, seed: int) -> dict[int, int]:
     end = len(ops)
     while end and ops[end - 1][0] in (OP_X, OP_Z):
         end -= 1
-    o0, cols, flips = _prefix_map(num_qubits, ops[:end])
+    o0, cols = _prefix_map(num_qubits, ops[:end])
     for code, q, _ in ops[end:]:
         if not 0 <= q < num_qubits:
             raise ValueError(f"qubit {q} out of range for {num_qubits} qubits")
         if code == OP_X:
-            o0 ^= flips[q]
+            o0 ^= 1 << q
+    for col in cols:
+        if o0 & col & -col:
+            o0 ^= col
     totals = _counted_indices(seed, shots, len(cols)).tolist()
     return {o: c for o, c in zip(gf2.span(cols, o0), totals) if c}
 

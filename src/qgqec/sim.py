@@ -7,9 +7,11 @@ measurement bits (``kernels.outcome_support``, which refuses more than
 outcomes of probability 2^-r each listed by ``gf2.span``, gives both the
 sampled counts and the exact distribution.  ``tableau_run`` samples from
 counter-based per-shot streams (vectorised by ``rng.first_words``), so
-identical (circuit, shots, seed) always yields identical Counts; it takes
-shots ``kernels.SHOT_CHUNK`` at a time and keeps only 2^r totals across
-chunks, so memory stays bounded at any shot count.  It renders one bitstring
+identical (circuit, shots, seed) always yields identical Counts.  It takes
+each Clifford prefix's map from the sampler's memo, XORs the trailing X's
+into o0 and clears each pivot that sets with its column, then takes shots
+``kernels.SHOT_CHUNK`` at a time, keeping only 2^r totals across chunks, so
+memory stays bounded at any shot count.  It renders one bitstring
 per distinct outcome, inserted in ascending random-bit index order; every
 serialiser sorts its keys, so the order never reaches the output.
 
@@ -131,7 +133,8 @@ def _final_state(circuit: Circuit) -> np.ndarray:
     function owns, so gates may overwrite it.  X reverses its axis (a view,
     no copy); Z and CZ negate the view where their qubits are 1; CNOT
     assigns the control-1 half from its target-reversed view; H and dense
-    operators go through ``_apply_matrix``."""
+    operators go through ``_apply_matrix``.  A gate qubit outside 0..n-1,
+    or a pair on one qubit, raises ``Circuit``'s ValueError first."""
     n = circuit.num_qubits
     if n > STATEVECTOR_QUBIT_CAP:
         raise ValueError(
@@ -141,6 +144,9 @@ def _final_state(circuit: Circuit) -> np.ndarray:
     t[(0,) * n] = 1.0
     for g in circuit.gates:
         name, qubits = g.name, g.qubits
+        a, b = qubits[0], qubits[-1]
+        if not (0 <= a < n and 0 <= b < n) or len(qubits) == 2 and a == b:
+            circuit._check(*qubits)  # a hand-appended gate: raises Circuit's error
         if name == "H":
             t = _apply_matrix(t, _H, qubits, normalise=False)
         elif name == "X":

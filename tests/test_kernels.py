@@ -5,7 +5,8 @@ at up to 64 random measurements, the shot sampler's histogram against it at
 up to ``MAX_RANDOM_BITS`` (at every chunk size, one shot included, and its
 refusal past that; trailing X/Z runs folded into the memoized prefix map
 also against the full circuit's own map), the one-pass outcome map against
-its r + 1-pass definition on the reference, the vectorised
+its r + 1-pass definition on the reference and as the reduced echelon basis
+that fold relies on, the vectorised
 RNG against the scalar streams, and the composition decode sweep against
 the per-pattern k^2 decode loop (random linear codes with repeated, zero
 and all-distinct columns), against the numpy composition sweep it replaced
@@ -105,9 +106,7 @@ def assert_sampler_matches_reference(n, ops, shots, seed):
     the sampler's histogram is the loop's, keys in ascending index order;
     past it the sampler refuses."""
     reference = per_shot_reference(n, ops, shots, seed)
-    base = pure.TableauEngine(n)
-    base.apply(ops)
-    o0, cols = pure.outcome_map(base)
+    o0, cols = pure.outcome_map(n, ops)
     indices = first_words(seed, shots) & np.uint64((1 << len(cols)) - 1)
     assert [outcome_of_index(o0, cols, i) for i in indices.tolist()] == reference
     if len(cols) > pure.MAX_RANDOM_BITS:
@@ -120,9 +119,7 @@ def assert_sampler_matches_reference(n, ops, shots, seed):
 
 
 def random_bits(n, ops):
-    engine = pure.TableauEngine(n)
-    engine.apply(ops)
-    return len(pure.outcome_map(engine)[1])
+    return len(pure.outcome_map(n, ops)[1])
 
 
 # 16 random measurements, MAX_RANDOM_BITS: the widest register sampled;
@@ -183,9 +180,7 @@ def prefix_and_pauli_suffix(draw):
     a random and on a deterministic qubit of the prefix, where it has them,
     among drawn X's and Z's on any qubit."""
     n, prefix = draw(clifford_ops(max_qubits=20, max_gates=60))
-    engine = pure.TableauEngine(n)
-    engine.apply(prefix)
-    random_qubits = [(col & -col).bit_length() - 1 for col in pure.outcome_map(engine)[1]]
+    random_qubits = [(col & -col).bit_length() - 1 for col in pure.outcome_map(n, prefix)[1]]
     deterministic = sorted(set(range(n)) - set(random_qubits))
     suffix = [(pure.OP_X, draw(st.sampled_from(qubits)), 0)
               for qubits in (random_qubits, deterministic) if qubits]
@@ -202,9 +197,7 @@ def test_sample_shots_folds_trailing_paulis_into_the_prefix_map(circuit, shots, 
     gives, key for key in the same order."""
     n, ops = circuit
     assert_sampler_matches_reference(n, ops, shots, seed)
-    engine = pure.TableauEngine(n)
-    engine.apply(ops)
-    o0, cols = pure.outcome_map(engine)
+    o0, cols = pure.outcome_map(n, ops)
     assume(len(cols) <= pure.MAX_RANDOM_BITS)
     unmemoized = index_histogram(o0, cols, shots, seed)
     assert list(pure.sample_shots(n, ops, shots, seed).items()) == unmemoized
@@ -333,16 +326,14 @@ def multi_pass_reference(n, ops):
     zeros = FixedBits(0)
     o0 = base.copy().measure_all(zeros)
     cols = [base.copy().measure_all(FixedBits(1 << i)) ^ o0 for i in range(zeros.used)]
-    return o0, cols
+    return o0, tuple(cols)
 
 
 @PROPERTY_UNSHRUNK
 @given(clifford_ops())
 def test_outcome_map_equals_multi_pass_definition(circuit):
     n, ops = circuit
-    engine = pure.TableauEngine(n)
-    engine.apply(ops)
-    assert pure.outcome_map(engine) == multi_pass_reference(n, ops)
+    assert pure.outcome_map(n, ops) == multi_pass_reference(n, ops)
 
 
 @st.composite
@@ -361,39 +352,36 @@ def case_circuits(draw):
 @given(case_circuits())
 def test_outcome_map_equals_multi_pass_definition_on_case_circuits(circuit):
     n, ops = circuit
-    engine = pure.TableauEngine(n)
-    engine.apply(ops)
-    assert pure.outcome_map(engine) == multi_pass_reference(n, ops)
+    assert pure.outcome_map(n, ops) == multi_pass_reference(n, ops)
 
 
-def test_outcome_map_is_one_copy_and_r_projections():
+def test_outcome_map_is_r_projections():
     n = 64
     ops = [(0, q, 0) for q in range(n)] + [(3, q, (q + 5) % n) for q in range(0, n, 3)]
-    engine = pure.TableauEngine(n)
-    engine.apply(ops)
     expected = multi_pass_reference(n, ops)
     assert len(expected[1]) == 64
     cls = pure.TableauEngine
-    with mock.patch.object(cls, "copy", autospec=True, side_effect=cls.copy) as copy, \
-            mock.patch.object(cls, "project", autospec=True, side_effect=cls.project) as project:
-        assert pure.outcome_map(engine) == expected
-    assert copy.call_count == 1
+    with mock.patch.object(cls, "project", autospec=True, side_effect=cls.project) as project:
+        assert pure.outcome_map(n, ops) == expected
     assert project.call_count == 64
 
 
 @PROPERTY
-@given(clifford_ops(max_qubits=20, max_gates=60))
-def test_outcome_map_columns_independent_and_engine_unchanged(circuit):
+@given(clifford_ops())
+def test_outcome_map_columns_are_the_reduced_echelon_basis(circuit):
+    """Column i flips the qubit of the i-th random measurement, its pivot
+    (lowest set bit), and no qubit measured before it, so the pivots are
+    distinct and ascend; each pivot is clear in every other column and in
+    o0.  ``sample_shots`` folds a trailing X on a pivot by that."""
     n, ops = circuit
-    engine = pure.TableauEngine(n)
-    engine.apply(ops)
-    before = (engine.xcols[:], engine.zcols[:], engine.signs)
-    o0, cols = pure.outcome_map(engine)
-    assert (engine.xcols, engine.zcols, engine.signs) == before
-    # column i flips the qubit of the i-th random measurement and none
-    # measured before it, so the columns are independent
-    lows = [(col & -col).bit_length() - 1 for col in cols]
-    assert lows == sorted(set(lows))
+    o0, cols = pure.outcome_map(n, ops)
+    assert type(cols) is tuple
+    pivots = [col & -col for col in cols]
+    assert pivots == sorted(set(pivots))
+    r = len(cols)
+    assert [[col & pivot != 0 for pivot in pivots] for col in cols] == \
+        [[i == j for j in range(r)] for i in range(r)]
+    assert not o0 & sum(pivots)
     assert 0 <= o0 < 1 << n and all(0 < col < 1 << n for col in cols)
 
 
@@ -422,16 +410,6 @@ def test_first_words_range_wraps_at_2_64(seed, before, after):
     assert words[:before] == [ShotStream(seed, start + i).next_word() for i in range(before)]
     assert words[before:] == first_words(seed, after).tolist()
     assert first_words(seed, before, start - (1 << 64)).tolist() == words[:before]
-
-
-def test_engine_copy_is_independent():
-    eng = pure.TableauEngine(3)
-    eng.apply([(0, 0, 0), (3, 0, 1)])
-    dup = eng.copy()
-    assert dup.is_random(0)
-    dup.project(0, 1)
-    # original unchanged: still random on qubit 0
-    assert eng.is_random(0)
 
 
 def test_unknown_opcode_raises_after_applying_the_gates_before_it():

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qgqec import circuits, groups, sim
-from qgqec._kernels_py import TableauEngine, outcome_map
+from qgqec._kernels_py import outcome_map
 from qgqec.circuits import Circuit, Counts, Gate, parse_count_rows
 from sim_reference import (
     exact_distribution_reference,
@@ -88,13 +88,19 @@ def test_tableau_rejects_dense_gates():
 
 def test_tableau_backends_refuse_a_qubit_out_of_range():
     """A hand-appended gate bypasses ``Circuit``'s check; the tableau
-    sampler and distribution both refuse it instead of wrapping it."""
-    c = Circuit(3)
-    c.gates.append(Gate("X", (-1,)))
-    with pytest.raises(ValueError, match="qubit -1 out of range for 3 qubits"):
-        sim.tableau_distribution(c)
-    with pytest.raises(ValueError, match="qubit -1 out of range for 3 qubits"):
-        sim.tableau_run(c, 8, 1)
+    sampler and distribution and the dense engine all refuse it, with
+    ``Circuit``'s message, instead of wrapping it or raising IndexError."""
+    for gate, message in ((Gate("X", (-1,)), "qubit -1 out of range for 3 qubits"),
+                          (Gate("Z", (-1,)), "qubit -1 out of range for 3 qubits"),
+                          (Gate("X", (3,)), "qubit 3 out of range for 3 qubits"),
+                          (Gate("CNOT", (0, 0)), "gate qubits must be distinct"),
+                          (Gate("CZ", (1, 1)), "gate qubits must be distinct")):
+        c = Circuit(3).h(0)
+        c.gates.append(gate)
+        for run in (sim.tableau_distribution, sim.exact_distribution,
+                    lambda circuit: sim.tableau_run(circuit, 8, 1)):
+            with pytest.raises(ValueError, match=message):
+                run(c)
 
 
 def test_tableau_backends_refuse_17_random_measurements():
@@ -206,9 +212,7 @@ def test_backend_equivalence_subset():
 @given(st.integers(1, 10), st.integers(0, 60), st.integers(0, 1 << 62))
 def test_tableau_distribution_is_uniform_on_2_to_the_r_outcomes(n, gates, seed):
     circuit = sim.random_clifford_circuit(n, gates, seed)
-    engine = TableauEngine(n)
-    engine.apply(sim._clifford_ops(circuit))
-    r = len(outcome_map(engine)[1])
+    r = len(outcome_map(n, sim._clifford_ops(circuit))[1])
     dist = sim.tableau_distribution(circuit)
     assert len(dist) == 2**r
     assert set(dist.values()) == {2.0**-r}
@@ -225,9 +229,7 @@ def test_tableau_distribution_support_is_the_index_map_in_index_order(n, gates, 
     each random-bit index 0..2^r-1, o0 XOR the cols of its set bits.  Past
     16 random measurements the distribution is refused instead."""
     circuit = sim.random_clifford_circuit(n, gates, seed)
-    engine = TableauEngine(n)
-    engine.apply(sim._clifford_ops(circuit))
-    o0, cols = outcome_map(engine)
+    o0, cols = outcome_map(n, sim._clifford_ops(circuit))
     if len(cols) > 16:
         with pytest.raises(ValueError, match=f"at most 16 random measurements, got {len(cols)}"):
             sim.tableau_distribution(circuit)
