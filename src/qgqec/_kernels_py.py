@@ -22,8 +22,8 @@ column and in o0.  ``outcome_support`` refuses more than ``MAX_RANDOM_BITS``
 ``gf2.span(cols, o0)``, the one span enumerator, i its random-bit index.  X
 and Z gates just before measurement only move o0 (a Pauli frame), so
 ``sample_shots`` evolves each Clifford prefix once while a small memo holds
-its map, XORs the trailing X's into o0 and clears each pivot that sets with
-its column, counts the indices of ``SHOT_CHUNK`` shots at a time into 2^r
+its map, XORs the trailing X's into o0 and then the column of every pivot
+o0 has set, counts the indices of ``SHOT_CHUNK`` shots at a time into 2^r
 totals (one ``np.bincount`` per chunk) and reads the outcomes off that span:
 memory stays within a few chunks at any shot count.
 

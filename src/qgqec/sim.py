@@ -8,8 +8,8 @@ outcomes of probability 2^-r each listed by ``gf2.span``, gives both the
 sampled counts and the exact distribution.  ``tableau_run`` samples from
 counter-based per-shot streams (vectorised by ``rng.first_words``), so
 identical (circuit, shots, seed) always yields identical Counts.  It takes
-each Clifford prefix's map from the sampler's memo, XORs the trailing X's
-into o0 and clears each pivot that sets with its column, then takes shots
+each Clifford prefix's map from the sampler's memo and XORs the trailing
+X's into o0, then the column of every pivot o0 has set.  It takes shots
 ``kernels.SHOT_CHUNK`` at a time, keeping only 2^r totals across chunks, so
 memory stays bounded at any shot count.  It renders one bitstring
 per distinct outcome, inserted in ascending random-bit index order; every
