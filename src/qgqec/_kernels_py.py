@@ -174,8 +174,9 @@ class TableauEngine:
 
 
 def outcome_map(num_qubits: int, ops) -> tuple[int, tuple[int, ...]]:
-    """(o0, cols): measuring all qubits after `ops` from |0...0> with random
-    bits b_i gives o0 ^ XOR of cols[i] over the set b_i.  An op qubit outside
+    """(o0, cols): measuring all qubits after `ops`, any iterable of op
+    triples, from |0...0> with random bits b_i gives o0 ^ XOR of cols[i]
+    over the set b_i.  An op qubit outside
     0..n-1 and a CNOT or CZ on one qubit raise ValueError before any engine
     is built.
 
@@ -190,6 +191,7 @@ def outcome_map(num_qubits: int, ops) -> tuple[int, tuple[int, ...]]:
     of cols[i], its pivot, is the qubit of random measurement i, so it is
     clear in every other column and in o0: cols is the reduced echelon basis.
     """
+    ops = tuple(ops)  # read twice: checked, then applied
     for code, a, b in ops:
         pair = OP_CNOT <= code <= OP_CZ
         if not 0 <= a < num_qubits or pair and (not 0 <= b < num_qubits or a == b):

@@ -355,6 +355,20 @@ def test_outcome_map_equals_multi_pass_definition_on_case_circuits(circuit):
     assert pure.outcome_map(n, ops) == multi_pass_reference(n, ops)
 
 
+def test_outcome_map_reads_ops_from_any_iterable():
+    """The ops are checked, then applied: an iterator gives the map of the
+    list it walks, and a bad op behind it is still refused."""
+    n = 5
+    ops = [(pure.OP_H, 0, 0), (pure.OP_CNOT, 0, 3), (pure.OP_H, 2, 0), (pure.OP_CZ, 2, 4),
+           (pure.OP_X, 1, 0)]
+    expected = multi_pass_reference(n, ops)
+    assert len(expected[1]) == 2
+    for fn in (pure.outcome_map, pure.outcome_support):
+        assert fn(n, iter(ops)) == fn(n, (op for op in ops)) == fn(n, tuple(ops)) == expected
+        with pytest.raises(ValueError, match="qubit 5 out of range for 5 qubits"):
+            fn(n, iter(ops + [(pure.OP_Z, 5, 0)]))
+
+
 def test_outcome_map_is_r_projections():
     n = 64
     ops = [(0, q, 0) for q in range(n)] + [(3, q, (q + 5) % n) for q in range(0, n, 3)]
