@@ -17,9 +17,9 @@ it.  ``outcome_map`` checks the ops and finds that map in one measurement
 pass with every random bit 0, tracking one Pauli frame per random
 measurement, and reads the deterministic outcomes from the stabilizer signs
 at the end; each column's lowest set bit (its pivot) is clear in every other
-column and in o0.  ``outcome_support`` refuses more than ``MAX_RANDOM_BITS``
-(16) random bits (every preset has r <= 4).  A shot's outcome is entry i of
-``gf2.span(cols, o0)``, the one span enumerator, i its random-bit index.  X
+column and in o0.  A shot's outcome is entry i of ``gf2.span(cols, o0)``,
+the one span enumerator, i its random-bit index, so the span's bound of 16
+vectors is the sampler's bound on r (every preset has r <= 4).  X
 and Z gates just before measurement only move o0 (a Pauli frame), so
 ``sample_shots`` evolves each Clifford prefix once while a small memo holds
 its map, XORs the trailing X's into o0 and then the column of every pivot
@@ -55,9 +55,6 @@ MAX_TABLEAU_QUBITS = 64
 # shots per sampling chunk: bounds the sampler's per-chunk arrays (about
 # 0.5 MB each) at any shot count
 SHOT_CHUNK = 65536
-# random measurements ``sample_shots`` takes: 2^16 int64 counts are 512 KB,
-# one chunk's words (every preset has r = N <= 4)
-MAX_RANDOM_BITS = 16
 # Clifford prefixes whose outcome map ``sample_shots`` keeps: the four case
 # encoders with room to spare; each entry holds its prefix's ops
 OUTCOME_MAP_CACHE = 16
@@ -234,21 +231,8 @@ def _counted_indices(seed: int, shots: int, r: int):
     return totals
 
 
-def outcome_support(num_qubits: int, ops) -> tuple[int, tuple[int, ...]]:
-    """(o0, cols): the outcomes of `ops` from |0...0> are ``gf2.span(cols,
-    o0)``, 2^r of them at probability 2^-r.  This is ``outcome_map``, whose
-    op checks hold, bounded: more than ``MAX_RANDOM_BITS`` random
-    measurements raise ValueError.  The sampler's memo and
-    ``sim.tableau_distribution`` both derive their map here."""
-    o0, cols = outcome_map(num_qubits, ops)
-    if len(cols) > MAX_RANDOM_BITS:
-        raise ValueError(f"the tableau enumerates at most {MAX_RANDOM_BITS} random "
-                         f"measurements, got {len(cols)}")
-    return o0, cols
-
-
 # the sampler's memo: a Clifford prefix's map, keyed by (num_qubits, ops)
-_prefix_map = lru_cache(maxsize=OUTCOME_MAP_CACHE)(outcome_support)
+_prefix_map = lru_cache(maxsize=OUTCOME_MAP_CACHE)(outcome_map)
 
 
 def sample_shots(num_qubits: int, ops, shots: int, seed: int) -> dict[int, int]:
@@ -273,8 +257,8 @@ def sample_shots(num_qubits: int, ops, shots: int, seed: int) -> dict[int, int]:
     totals ``SHOT_CHUNK`` shots at a time (``_counted_indices``) and read
     off against that span, the support ``sim.tableau_distribution`` lists:
     memory stays within a few chunks at any shot count.  A bad prefix qubit
-    and more than ``MAX_RANDOM_BITS`` random measurements raise ValueError
-    from ``outcome_support``, once per memo miss.
+    raises ValueError from ``outcome_map`` and r > 16 from ``gf2.span``,
+    which is built before the 2^r counts.
     """
     ops = tuple(ops)
     end = len(ops)
@@ -289,8 +273,9 @@ def sample_shots(num_qubits: int, ops, shots: int, seed: int) -> dict[int, int]:
     for col in cols:
         if o0 & col & -col:
             o0 ^= col
+    support = gf2.span(cols, o0)
     totals = _counted_indices(seed, shots, len(cols)).tolist()
-    return {o: c for o, c in zip(gf2.span(cols, o0), totals) if c}
+    return {o: c for o, c in zip(support, totals) if c}
 
 
 @lru_cache(maxsize=8)

@@ -20,8 +20,6 @@ from qgqec.cases import CaseId
 if TYPE_CHECKING:
     from qgqec import pauli
 
-MAX_LOGICAL = 16  # rows min_distance takes: a 2^N-int span, 2 MB at 16
-
 
 @dataclass(frozen=True)
 class QCCode:
@@ -91,7 +89,7 @@ def min_distance(rows: list[str]) -> int:
     """Minimum Hamming weight over all nonzero GF(2) row combinations:
     entries 1..2^N - 1 of ``gf2.span``, so 0 when the rows are dependent
     (some nonzero combination cancels).  Rows of unequal length, and more
-    than ``MAX_LOGICAL`` rows, raise ValueError.
+    rows than ``gf2.span`` takes (16), raise ValueError.
     """
     if not rows:
         raise ValueError("need at least one row")
@@ -100,9 +98,6 @@ def min_distance(rows: list[str]) -> int:
     ints = [bits_to_int(r) for r in rows]
     if all(v == 0 for v in ints):
         raise ValueError("all rows are zero")
-    n = len(ints)
-    if n > MAX_LOGICAL:
-        raise ValueError(f"too many rows to enumerate ({n} > {MAX_LOGICAL})")
     return _least_weight(gf2.span(ints))
 
 

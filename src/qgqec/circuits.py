@@ -133,7 +133,10 @@ class Counts:
         for value in [*d["counts"].values(), total]:
             if type(value) is not int:  # bool is an int subclass
                 raise ValueError(f"counts and total_shots must be integers, got {json.dumps(value)}")
-        return cls(dict(d["counts"]), total)
+        counts = cls(dict(d["counts"]), total)
+        if counts.total_shots != total:  # Counts reads 0 as "derive it"
+            raise ValueError(f"counts sum {counts.total_shots} != total_shots {total}")
+        return counts
 
     def to_csv(self) -> str:
         return format_count_rows(sorted(self.counts.items()))

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from qgqec._bits import popcount
 
+MAX_SPAN_VECTORS = 16  # 2^16 entries, a few MB of ints; the presets span at most 4
+
 
 def row_reduce(rows: list[int], width: int) -> tuple[list[int], list[int]]:
     """Reduced row-echelon form over GF(2).
@@ -82,7 +84,10 @@ def span(vectors: list[int], offset: int = 0) -> list[int]:
 
     Entry l is `offset` XOR vectors[i] for each bit i set in l: XOR-ing
     vectors[i] into the 2^i entries so far gives entries 2^i..2^(i+1)-1.
+    More than ``MAX_SPAN_VECTORS`` raise ValueError before any is read.
     """
+    if len(vectors) > MAX_SPAN_VECTORS:
+        raise ValueError(f"span enumerates at most {MAX_SPAN_VECTORS} vectors, got {len(vectors)}")
     out = [offset]
     for v in vectors:
         out += [x ^ v for x in out]

@@ -2,18 +2,15 @@
 
 The tableau engine (``backend.kernels``) simulates Clifford circuits exactly
 at up to 64 qubits.  Its outcomes are an affine map over GF(2) of the random
-measurement bits (``kernels.outcome_support``, which refuses more than
-``kernels.MAX_RANDOM_BITS`` of them), whose support o0 ^ span(cols), 2^r
-outcomes of probability 2^-r each listed by ``gf2.span``, gives both the
-sampled counts and the exact distribution.  ``tableau_run`` samples from
-counter-based per-shot streams (vectorised by ``rng.first_words``), so
-identical (circuit, shots, seed) always yields identical Counts.  It takes
-each Clifford prefix's map from the sampler's memo and XORs the trailing
-X's into o0, then the column of every pivot o0 has set.  It takes shots
-``kernels.SHOT_CHUNK`` at a time, keeping only 2^r totals across chunks, so
-memory stays bounded at any shot count.  It renders one bitstring
-per distinct outcome, inserted in ascending random-bit index order; every
-serialiser sorts its keys, so the order never reaches the output.
+measurement bits (``kernels.outcome_map``), whose support o0 ^ span(cols),
+2^r outcomes of probability 2^-r each listed by ``gf2.span`` (which refuses
+r > 16), gives both the sampled counts and the exact distribution.
+``tableau_run`` samples from counter-based per-shot streams through
+``kernels.sample_shots`` (its memo, Pauli-frame fold and chunking are
+documented there), so identical (circuit, shots, seed) always yields
+identical Counts in bounded memory.  It renders one bitstring per distinct
+outcome, inserted in ascending random-bit index order; every serialiser
+sorts its keys, so the order never reaches the output.
 
 The dense statevector engine (<= 16 qubits) is the exactness oracle and
 additionally accepts dense 1- and 2-qubit operators; it gives exact
@@ -44,8 +41,11 @@ from qgqec.circuits import PROB_PRUNE, STATEVECTOR_QUBIT_CAP, Circuit, Counts, _
 
 TV_TOLERANCE = 1e-9  # largest total variation backend_equivalence accepts
 
-_OPCODE = {"H": kernels.OP_H, "X": kernels.OP_X, "Z": kernels.OP_Z,
-           "CNOT": kernels.OP_CNOT, "CZ": kernels.OP_CZ}
+# (name, qubit count) -> opcode of each gate the tableau takes; the dense
+# engine also takes U on 1 or 2 qubits
+_OPCODE = {("H", 1): kernels.OP_H, ("X", 1): kernels.OP_X, ("Z", 1): kernels.OP_Z,
+           ("CNOT", 2): kernels.OP_CNOT, ("CZ", 2): kernels.OP_CZ}
+_DENSE_GATES = frozenset(_OPCODE) | {("U", 1), ("U", 2)}
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 _ALL = slice(None)
@@ -53,14 +53,24 @@ _REV = slice(None, None, -1)
 _AXES = tuple(range(STATEVECTOR_QUBIT_CAP))
 
 
+def _refuse(circuit: Circuit, gate, shapes, unknown: str) -> None:
+    """Raise the ValueError for a hand-appended gate: one whose (name, qubit
+    count) is not in `shapes`, or whose qubits ``Circuit`` refuses."""
+    counts = [k for name, k in sorted(shapes) if name == gate.name]
+    if len(gate.qubits) in counts:
+        circuit._check(*gate.qubits)
+    raise ValueError(f"{gate.name} acts on {' or '.join(map(str, counts))} qubit{'s' * (counts != [1])}"
+                     f", got {len(gate.qubits)}" if counts else f"{unknown} {gate.name!r} in circuit")
+
+
 def _clifford_ops(circuit: Circuit) -> list[tuple[int, int, int]]:
     ops = []
     for g in circuit.gates:
-        if g.name not in _OPCODE:
-            raise ValueError(f"non-Clifford gate {g.name!r} in circuit")
-        a = g.qubits[0]
-        b = g.qubits[1] if len(g.qubits) > 1 else 0
-        ops.append((_OPCODE[g.name], a, b))
+        qubits = g.qubits
+        code = _OPCODE.get((g.name, len(qubits)))
+        if code is None:
+            _refuse(circuit, g, _OPCODE, "non-Clifford gate")
+        ops.append((code, qubits[0], qubits[1] if len(qubits) > 1 else 0))
     return ops
 
 
@@ -81,13 +91,13 @@ def tableau_run(circuit: Circuit, shots: int, seed: int) -> Counts:
 
 def tableau_distribution(circuit: Circuit) -> dict[str, float]:
     """Analytic outcome probabilities: the support o0 ^ span(cols) of
-    ``kernels.outcome_support``, 2^r outcomes of probability 2^-r each, so
-    the result is exact (dyadic) in floating point.  ``gf2.span`` lists them
-    in random-bit index order, the support that ``kernels.sample_shots``
-    reads its counts against; both refuse the same ops.
+    ``kernels.outcome_map``, 2^r outcomes of probability 2^-r each, so the
+    result is exact (dyadic) in floating point.  ``gf2.span`` lists them in
+    random-bit index order, the support that ``kernels.sample_shots`` reads
+    its counts against; both refuse the same ops, and r > 16.
     """
     n = circuit.num_qubits
-    o0, cols = kernels.outcome_support(n, _clifford_ops(circuit))
+    o0, cols = kernels.outcome_map(n, _clifford_ops(circuit))
     prob = 0.5 ** len(cols)
     return {_render(out, n): prob for out in gf2.span(cols, o0)}
 
@@ -133,8 +143,8 @@ def _final_state(circuit: Circuit) -> np.ndarray:
     function owns, so gates may overwrite it.  X reverses its axis (a view,
     no copy); Z and CZ negate the view where their qubits are 1; CNOT
     assigns the control-1 half from its target-reversed view; H and dense
-    operators go through ``_apply_matrix``.  A gate qubit outside 0..n-1,
-    or a pair on one qubit, raises ``Circuit``'s ValueError first."""
+    operators go through ``_apply_matrix``.  A hand-appended gate that no
+    ``Circuit`` method would make raises ValueError first (``_refuse``)."""
     n = circuit.num_qubits
     if n > STATEVECTOR_QUBIT_CAP:
         raise ValueError(
@@ -144,9 +154,9 @@ def _final_state(circuit: Circuit) -> np.ndarray:
     t[(0,) * n] = 1.0
     for g in circuit.gates:
         name, qubits = g.name, g.qubits
-        a, b = qubits[0], qubits[-1]
-        if not (0 <= a < n and 0 <= b < n) or len(qubits) == 2 and a == b:
-            circuit._check(*qubits)  # a hand-appended gate: raises Circuit's error
+        if ((name, len(qubits)) not in _DENSE_GATES or not (0 <= qubits[0] < n and 0 <= qubits[-1] < n)
+                or len(qubits) == 2 and qubits[0] == qubits[1]):
+            _refuse(circuit, g, _DENSE_GATES, "unknown gate")
         if name == "H":
             t = _apply_matrix(t, _H, qubits, normalise=False)
         elif name == "X":
@@ -166,11 +176,9 @@ def _final_state(circuit: Circuit) -> np.ndarray:
             i, j = (a, b) if a < b else (b, a)
             view = t[(_ALL,) * i + (1,) + (_ALL,) * (j - i - 1) + (1, ...)]
             np.negative(view, out=view)
-        elif name == "U":
+        else:  # U
             matrix = np.ascontiguousarray(g.matrix, dtype=complex)
             t = _apply_matrix(t, matrix, qubits, normalise=True)
-        else:
-            raise ValueError(f"unknown gate {name!r} in circuit")
     # a view may be reversed or transposed; np.abs rounds differently on
     # strided input, so the result is made contiguous
     return np.ascontiguousarray(t).reshape(-1)

@@ -100,11 +100,11 @@ def test_min_distance_equals_gray_code_oracle(code):
     assert (d == 0) == (gf2.rank(ints, m) < len(ints))
 
 
-def test_min_distance_takes_at_most_max_logical_rows():
-    assert aqecc.MAX_LOGICAL == 16
+def test_min_distance_takes_at_most_16_rows():
+    assert gf2.MAX_SPAN_VECTORS == 16
     identity = [format(1 << j, "017b") for j in range(17)]
     assert aqecc.min_distance(identity[:16]) == 1
-    with pytest.raises(ValueError, match=r"too many rows to enumerate \(17 > 16\)"):
+    with pytest.raises(ValueError, match="span enumerates at most 16 vectors, got 17"):
         aqecc.min_distance(identity)
 
 

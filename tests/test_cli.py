@@ -420,6 +420,9 @@ _MALFORMED_STATS_INPUTS = [
     ("repeated_total.json",
      '{"counts": {"00000000": 1, "00000001": 1}, "total_shots": 1, "total_shots": 2}',
      'repeated key "total_shots" in counts JSON'),
+    # a stated total of 0 is compared like any other, not derived from the counts
+    ("zero_total.json", '{"total_shots": 0, "counts": {"00000001": 5, "00000010": 3}}',
+     "counts sum 8 != total_shots 0"),
 ]
 
 

@@ -79,3 +79,23 @@ def test_span_equals_per_index_definition(vectors, offset):
             if l >> i & 1:
                 want ^= v
         assert entry == want
+
+
+class _Unread(list):
+    """A list whose entries may not be read: ``span`` must refuse it from
+    its length alone."""
+
+    def __iter__(self):
+        raise AssertionError("span read its vectors")
+
+
+def test_span_takes_at_most_16_vectors():
+    """16 vectors give all 2^16 entries; a 17th is refused with ValueError
+    before any vector is read or any entry built."""
+    assert gf2.MAX_SPAN_VECTORS == 16
+    out = gf2.span([1 << i for i in range(16)], 1 << 20)
+    assert len(out) == 65_536 and out == [(1 << 20) | l for l in range(65_536)]
+    with pytest.raises(ValueError, match="span enumerates at most 16 vectors, got 17"):
+        gf2.span(_Unread(range(17)))
+    with pytest.raises(AssertionError, match="span read its vectors"):
+        gf2.span(_Unread(range(16)))  # within the bound, the vectors are read

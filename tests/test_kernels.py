@@ -2,8 +2,8 @@
 (``row_tableau.RowTableau``) after every gate sequence and every projection,
 the affine outcome map against the reference's per-shot loop shot by shot
 at up to 64 random measurements, the shot sampler's histogram against it at
-up to ``MAX_RANDOM_BITS`` (at every chunk size, one shot included, and its
-refusal past that; trailing X/Z runs folded into the memoized prefix map
+up to ``gf2.MAX_SPAN_VECTORS`` (at every chunk size, one shot included, and
+its refusal past that; trailing X/Z runs folded into the memoized prefix map
 also against the full circuit's own map), the one-pass outcome map against
 its r + 1-pass definition on the reference and as the reduced echelon basis
 that fold relies on, the vectorised
@@ -102,15 +102,15 @@ def index_histogram(o0, cols, shots, seed):
 
 def assert_sampler_matches_reference(n, ops, shots, seed):
     """Shot by shot, the outcome map at each shot's random-bit index is the
-    per-shot loop's outcome, at any r <= 64.  At r <= ``MAX_RANDOM_BITS``
+    per-shot loop's outcome, at any r <= 64.  At r <= ``MAX_SPAN_VECTORS``
     the sampler's histogram is the loop's, keys in ascending index order;
     past it the sampler refuses."""
     reference = per_shot_reference(n, ops, shots, seed)
     o0, cols = pure.outcome_map(n, ops)
     indices = first_words(seed, shots) & np.uint64((1 << len(cols)) - 1)
     assert [outcome_of_index(o0, cols, i) for i in indices.tolist()] == reference
-    if len(cols) > pure.MAX_RANDOM_BITS:
-        with pytest.raises(ValueError, match="at most 16 random measurements"):
+    if len(cols) > gf2.MAX_SPAN_VECTORS:
+        with pytest.raises(ValueError, match="span enumerates at most 16 vectors"):
             pure.sample_shots(n, ops, shots, seed)
         return
     histogram = list(pure.sample_shots(n, ops, shots, seed).items())
@@ -122,7 +122,7 @@ def random_bits(n, ops):
     return len(pure.outcome_map(n, ops)[1])
 
 
-# 16 random measurements, MAX_RANDOM_BITS: the widest register sampled;
+# 16 random measurements, MAX_SPAN_VECTORS: the widest register sampled;
 # qubits 16 and 17 are deterministic given the others
 SIXTEEN_RANDOM = (18, [(0, q, 0) for q in range(16)]
                   + [(3, 0, 16), (3, 5, 16), (3, 9, 17), (1, 17, 0), (4, 2, 3), (2, 4, 0)])
@@ -141,7 +141,7 @@ def test_sample_shots_equals_per_shot_loop(circuit, shots, seed):
 @example(SIXTEEN_RANDOM, 40, 7)
 def test_sample_shots_any_chunk_size_gives_one_histogram(circuit, shots, seed):
     n, ops = circuit
-    assume(random_bits(n, ops) <= pure.MAX_RANDOM_BITS)
+    assume(random_bits(n, ops) <= gf2.MAX_SPAN_VECTORS)
     whole = pure.sample_shots(n, ops, shots, seed)
     assert pure.SHOT_CHUNK >= shots  # one chunk
     for chunk in range(1, shots + 1):
@@ -152,11 +152,11 @@ def test_sample_shots_any_chunk_size_gives_one_histogram(circuit, shots, seed):
 
 @pytest.mark.parametrize("seed", [0, 13])
 def test_sample_shots_at_the_histogram_boundary(seed):
-    """r = 16 = MAX_RANDOM_BITS: each chunk adds one np.bincount into 2^16
+    """r = 16 = MAX_SPAN_VECTORS: each chunk adds one np.bincount into 2^16
     totals, whatever the chunk size, and gives the per-shot histogram in
     the same key order; r = 17 is refused before any shot is drawn."""
     n, ops = SIXTEEN_RANDOM
-    assert random_bits(n, ops) == pure.MAX_RANDOM_BITS == 16
+    assert random_bits(n, ops) == gf2.MAX_SPAN_VECTORS == 16
     histograms = []
     for chunk, bincounts in ((1 << 16, 1), (7, 43)):
         with mock.patch.object(pure, "SHOT_CHUNK", chunk), \
@@ -169,7 +169,7 @@ def test_sample_shots_at_the_histogram_boundary(seed):
     for suffix in ([], [(pure.OP_X, 3, 0)]):
         assert random_bits(17, seventeen + suffix) == 17
         with mock.patch.object(np, "bincount") as bincount, \
-                pytest.raises(ValueError, match="at most 16 random measurements, got 17"):
+                pytest.raises(ValueError, match="span enumerates at most 16 vectors, got 17"):
             pure.sample_shots(17, seventeen + suffix, 300, seed)
         assert bincount.call_count == 0
 
@@ -198,7 +198,7 @@ def test_sample_shots_folds_trailing_paulis_into_the_prefix_map(circuit, shots, 
     n, ops = circuit
     assert_sampler_matches_reference(n, ops, shots, seed)
     o0, cols = pure.outcome_map(n, ops)
-    assume(len(cols) <= pure.MAX_RANDOM_BITS)
+    assume(len(cols) <= gf2.MAX_SPAN_VECTORS)
     unmemoized = index_histogram(o0, cols, shots, seed)
     assert list(pure.sample_shots(n, ops, shots, seed).items()) == unmemoized
 
@@ -239,7 +239,7 @@ def test_sample_shots_refuses_a_trailing_qubit_out_of_range(suffix):
     ((pure.OP_CZ, 2, 2), "gate qubits must be distinct"),
 ])
 def test_sample_shots_and_tableau_distribution_refuse_a_bad_prefix_op(op, message):
-    """A prefix op reaches the tableau, so ``outcome_support`` checks its
+    """A prefix op reaches the tableau, so ``outcome_map`` checks its
     qubits before it builds the engine: with or without a trailing X/Z run,
     in ``sample_shots`` and in ``sim.tableau_distribution`` alike."""
     name = {pure.OP_H: "H", pure.OP_Z: "Z", pure.OP_CNOT: "CNOT", pure.OP_CZ: "CZ"}[op[0]]
@@ -273,7 +273,7 @@ def test_tableau_run_memory_stays_within_a_few_chunks():
 
 def test_outcome_map_at_64_random_measurements():
     """The widest register: the map agrees with the per-shot loop shot by
-    shot, and the sampler, past MAX_RANDOM_BITS, refuses it."""
+    shot, and the sampler, past MAX_SPAN_VECTORS, refuses it."""
     n = 64
     ops = [(0, q, 0) for q in range(n)] + [(3, q, (q + 5) % n) for q in range(0, n, 3)]
     ops += [(2, 7, 0), (4, 1, 40), (1, 63, 0)]
@@ -363,10 +363,10 @@ def test_outcome_map_reads_ops_from_any_iterable():
            (pure.OP_X, 1, 0)]
     expected = multi_pass_reference(n, ops)
     assert len(expected[1]) == 2
-    for fn in (pure.outcome_map, pure.outcome_support):
-        assert fn(n, iter(ops)) == fn(n, (op for op in ops)) == fn(n, tuple(ops)) == expected
-        with pytest.raises(ValueError, match="qubit 5 out of range for 5 qubits"):
-            fn(n, iter(ops + [(pure.OP_Z, 5, 0)]))
+    fn = pure.outcome_map
+    assert fn(n, iter(ops)) == fn(n, (op for op in ops)) == fn(n, tuple(ops)) == expected
+    with pytest.raises(ValueError, match="qubit 5 out of range for 5 qubits"):
+        fn(n, iter(ops + [(pure.OP_Z, 5, 0)]))
 
 
 def test_outcome_map_is_r_projections():

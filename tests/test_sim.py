@@ -89,12 +89,18 @@ def test_tableau_rejects_dense_gates():
 def test_tableau_backends_refuse_a_qubit_out_of_range():
     """A hand-appended gate bypasses ``Circuit``'s check; the tableau
     sampler and distribution and the dense engine all refuse it, with
-    ``Circuit``'s message, instead of wrapping it or raising IndexError."""
+    ``Circuit``'s message, instead of wrapping it or raising IndexError.
+    A gate on the wrong number of qubits is refused too, instead of acting
+    on its first qubit alone or failing to unpack."""
     for gate, message in ((Gate("X", (-1,)), "qubit -1 out of range for 3 qubits"),
                           (Gate("Z", (-1,)), "qubit -1 out of range for 3 qubits"),
                           (Gate("X", (3,)), "qubit 3 out of range for 3 qubits"),
                           (Gate("CNOT", (0, 0)), "gate qubits must be distinct"),
-                          (Gate("CZ", (1, 1)), "gate qubits must be distinct")):
+                          (Gate("CZ", (1, 1)), "gate qubits must be distinct"),
+                          (Gate("X", (0, 1)), "X acts on 1 qubit, got 2"),
+                          (Gate("H", (0, 2)), "H acts on 1 qubit, got 2"),
+                          (Gate("CZ", (0, 1, 2)), "CZ acts on 2 qubits, got 3"),
+                          (Gate("CNOT", (0,)), "CNOT acts on 2 qubits, got 1")):
         c = Circuit(3).h(0)
         c.gates.append(gate)
         for run in (sim.tableau_distribution, sim.exact_distribution,
@@ -113,7 +119,7 @@ def test_tableau_backends_refuse_17_random_measurements():
     assert len(dist) == 1 << 16 and set(dist.values()) == {2.0**-16}
     c.h(16)
     for run in (sim.tableau_distribution, lambda circuit: sim.tableau_run(circuit, 8, 1)):
-        with pytest.raises(ValueError, match="at most 16 random measurements, got 17"):
+        with pytest.raises(ValueError, match="span enumerates at most 16 vectors, got 17"):
             run(c)
 
 
@@ -231,7 +237,7 @@ def test_tableau_distribution_support_is_the_index_map_in_index_order(n, gates, 
     circuit = sim.random_clifford_circuit(n, gates, seed)
     o0, cols = outcome_map(n, sim._clifford_ops(circuit))
     if len(cols) > 16:
-        with pytest.raises(ValueError, match=f"at most 16 random measurements, got {len(cols)}"):
+        with pytest.raises(ValueError, match=f"span enumerates at most 16 vectors, got {len(cols)}"):
             sim.tableau_distribution(circuit)
         return
     prob = 0.5 ** len(cols)
