@@ -1,9 +1,10 @@
 """Circuit and Counts containers plus the Counts wire formats.
 
 Counts are read from JSON ``{"total_shots": n, "counts": {...}}`` and
-written to CSV ``outcome,count`` with quoted bitstrings.  numpy is imported
-only by ``Circuit.unitary``, so that commands which build no dense gate do
-not load it.
+written to CSV ``outcome,count`` with quoted bitstrings; both readers hold
+outcomes to one rule (``check_outcomes``).  numpy is imported only by
+``Circuit.unitary``, so that commands which build no dense gate do not load
+it.
 """
 
 from __future__ import annotations
@@ -87,9 +88,9 @@ class Circuit:
 
 @dataclass(frozen=True)
 class Counts:
-    """Histogram of measured bitstrings; values sum to total_shots.  Counts
-    and total_shots must be ints: a float, a string or a bool raises
-    ValueError rather than being coerced."""
+    """Histogram of measured bitstrings (``check_outcomes``); values sum to
+    total_shots.  Counts and total_shots must be ints: a float, a string or
+    a bool raises ValueError rather than being coerced."""
 
     counts: dict[str, int]
     total_shots: int = field(default=0)
@@ -109,9 +110,7 @@ class Counts:
             raise ValueError(f"counts sum {total} != total_shots {self.total_shots}")
         if self.total_shots < 1:
             raise ValueError("total_shots must be positive")
-        widths = {len(k) for k in self.counts}
-        if len(widths) > 1:
-            raise ValueError("outcomes have mixed bit widths")
+        check_outcomes(self.counts)
 
     def num_outcomes(self) -> int:
         return len(self.counts)
@@ -153,6 +152,17 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return d
 
 
+def check_outcomes(outcomes) -> None:
+    """The one rule for outcomes, in ``Counts`` and in CSV and JSON counts
+    input alike: each a non-empty '0'/'1' string, all of one width.
+    Anything else raises ValueError."""
+    if "".join(outcomes).strip("01") or "" in outcomes:
+        bad = next(o for o in outcomes if not o or o.strip("01"))
+        raise ValueError(f"not a '0'/'1' bitstring: {bad!r}")
+    if len({len(o) for o in outcomes}) > 1:
+        raise ValueError("outcomes have mixed bit widths")
+
+
 def format_count_rows(rows) -> str:
     """outcome,count CSV with quoted bitstrings, rows in the given order;
     ``parse_count_rows`` reads it back."""
@@ -172,8 +182,9 @@ def parse_int(text: str) -> int:
 
 def parse_count_rows(text: str) -> list[tuple[str, int]]:
     """Read outcome,count CSV preserving duplicate rows verbatim; counts must
-    be non-negative decimal integers (``parse_int``).  Malformed CSV, such as
-    a field past the csv module's size limit, raises ValueError."""
+    be non-negative decimal integers (``parse_int``) and outcomes must pass
+    ``check_outcomes``.  Malformed CSV, such as a field past the csv
+    module's size limit, raises ValueError."""
     try:
         records = list(csv.reader(io.StringIO(text)))
     except csv.Error as exc:
@@ -190,4 +201,5 @@ def parse_count_rows(text: str) -> list[tuple[str, int]]:
         rows.append((rec[0].strip(), count))
     if not rows:
         raise ValueError("no counts rows found")
+    check_outcomes([outcome for outcome, _ in rows])
     return rows

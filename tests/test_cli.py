@@ -267,6 +267,25 @@ def test_sweep_outputs_and_exit_codes(runner, tmp_path):
     assert runner.invoke(main, ["sweep", "--case", "c1", "--max-weight", "0"]).exit_code == 2
 
 
+def test_sweep_fails_when_one_weight_corrects_one_case_fewer(runner, monkeypatch):
+    """C3 corrects every pattern up to P = 2; with one weight-1 case lost the
+    verdict reads False and the command exits 1."""
+    from qgqec.backend import kernels
+
+    sweep_weight = kernels.sweep_weight
+
+    def one_fewer(m, codewords, weight):
+        tested, corrected = sweep_weight(m, codewords, weight)
+        return tested, corrected - (weight == 1)
+
+    assert invoke(runner, ["sweep", "--case", "c3"]).output.endswith(
+        "all corrected up to weight 2: True\n")
+    monkeypatch.setattr(kernels, "sweep_weight", one_fewer)
+    result = runner.invoke(main, ["sweep", "--case", "c3"])
+    assert result.exit_code == 1
+    assert result.output.endswith("all corrected up to weight 2: False\n")
+
+
 @st.composite
 def sweep_argvs(draw):
     """(argv, case) for `sweep`: every --max-weight in 1..M, boundary,
@@ -403,7 +422,7 @@ def test_stats_decoded_classifier_rejects_bad_errors_like_run(runner, errors, me
 # (file name, contents, message): inputs that each once exited 0 or 1
 _MALFORMED_STATS_INPUTS = [
     ("signs.csv", 'outcome,count\n"0000_001",5\n"+0000001",3\n"-0000001",2\n',
-     "decoded classifier failed: not a '0'/'1' bitstring: '0000_001'"),
+     "not a '0'/'1' bitstring: '0000_001'"),
     ("oversized.csv", 'outcome,count\n"' + "0" * 131_073 + '",1\n',
      "malformed counts input"),
     ("deep.json", '{"counts": ' + "[" * 100_000 + "]" * 100_000 + "}",
@@ -437,6 +456,30 @@ def test_stats_malformed_input_exits_2(runner, tmp_path, name, text, message):
     assert isinstance(result.exception, SystemExit)
     assert message in result.output
     assert "Traceback" not in result.output
+
+
+# (file name, contents, message): counts that CSV once took and JSON refused,
+# or that both took; one rule now refuses them in both formats
+_BAD_OUTCOME_INPUTS = [
+    ("mixed.csv", 'outcome,count\n"01",3\n"011",4\n', "outcomes have mixed bit widths"),
+    ("mixed.json", '{"total_shots": 7, "counts": {"01": 3, "011": 4}}',
+     "outcomes have mixed bit widths"),
+    ("not_binary.csv", 'outcome,count\n"01",3\n"0a",4\n', "not a '0'/'1' bitstring: '0a'"),
+    ("not_binary.json", '{"total_shots": 7, "counts": {"01": 3, "0a": 4}}',
+     "not a '0'/'1' bitstring: '0a'"),
+]
+
+
+@pytest.mark.parametrize("name, text, message", _BAD_OUTCOME_INPUTS,
+                         ids=[name for name, _, _ in _BAD_OUTCOME_INPUTS])
+def test_stats_outcomes_follow_one_rule_in_csv_and_json(runner, tmp_path, name, text, message):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    result = runner.invoke(main, ["stats", str(path)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert f"Error: malformed counts input {str(path)!r}: {message}\n" in result.output
+    assert "mean:" not in result.output
 
 
 def test_stats_two_column_table_needs_column(runner):
@@ -637,6 +680,32 @@ def test_backends_check_small(runner):
     result = invoke(runner, ["backends-check", "--circuits", "10"])
     assert result.exit_code == 0
     assert "backends agree" in result.output
+
+
+def test_backends_check_fails_when_one_circuit_moves(runner, monkeypatch):
+    """Circuit 3's tableau distribution moves by 1e-3 on one outcome: the
+    report and the command both fail, naming that circuit alone."""
+    tableau_distribution = sim.tableau_distribution
+    seen = []
+
+    def moved(circuit):
+        dist = tableau_distribution(circuit)
+        seen.append(circuit)
+        if len(seen) == 4:
+            first = next(iter(dist))
+            dist[first] += 1e-3
+        return dist
+
+    monkeypatch.setattr(sim, "tableau_distribution", moved)
+    report = sim.backend_equivalence(10, 8, 40, seed=42)
+    assert report["passed"] is False
+    assert [(f["circuit"], f"{f['tv']:.3e}") for f in report["failures"]] == [(3, "5.000e-04")]
+    seen.clear()
+    result = runner.invoke(main, ["backends-check", "--circuits", "10"])
+    assert result.exit_code == 1
+    assert result.stderr == "FAIL circuit 3: tv=5.000e-04\n"
+    assert "10 circuits, worst total variation 5.000e-04" in result.stdout
+    assert "backends agree" not in result.output
 
 
 @pytest.mark.parametrize("flag, value", [

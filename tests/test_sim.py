@@ -1,5 +1,6 @@
 """Simulator tests: sampling, exact distributions, cross-validation, formats."""
 
+import itertools
 import json
 import math
 import random
@@ -214,6 +215,20 @@ def test_backend_equivalence_subset():
     assert report["worst_tv"] <= 1e-9
 
 
+@pytest.mark.parametrize("tv, passed", [
+    (sim.TV_TOLERANCE, True),
+    (math.nextafter(sim.TV_TOLERANCE, 1), False),
+])
+def test_backend_equivalence_tolerance_is_inclusive(monkeypatch, tv, passed):
+    """A total variation of exactly ``TV_TOLERANCE`` passes; the next float
+    up fails every circuit."""
+    monkeypatch.setattr(sim, "total_variation", lambda p, q: tv)
+    report = sim.backend_equivalence(num_circuits=4, max_qubits=3, max_gates=5, seed=1)
+    assert report["passed"] is passed
+    assert report["worst_tv"] == tv
+    assert [f["circuit"] for f in report["failures"]] == ([] if passed else [0, 1, 2, 3])
+
+
 @PROPERTY
 @given(st.integers(1, 10), st.integers(0, 60), st.integers(0, 1 << 62))
 def test_tableau_distribution_is_uniform_on_2_to_the_r_outcomes(n, gates, seed):
@@ -411,9 +426,36 @@ def test_final_state_strided_corners():
         _assert_matches_reference(one)
 
 
+# every H, X, Z, CNOT and CZ on 3 qubits, both orientations of each pair
+_GATES_ON_3 = [(name, (q,)) for name in ("H", "X", "Z") for q in range(3)] + [
+    (name, pair) for name in ("CNOT", "CZ") for pair in itertools.permutations(range(3), 2)]
+
+
+@pytest.mark.parametrize("first", range(len(_GATES_ON_3) + 1))
+def test_phase_frame_on_every_3_qubit_sequence_of_up_to_3_gates(first):
+    """Every sequence of at most 3 gates (grouped by its first gate, the
+    last group empty), then H on each qubit, which meets whatever Z and CZ
+    terms the phase frame still holds.  The state with the frame applied is
+    the tensordot engine's, and the distribution that never applies it is
+    the full-scan renderer's on that state."""
+    head = [_GATES_ON_3[first]] if first < len(_GATES_ON_3) else []
+    tails = [()] + [tail for length in (1, 2) for tail in itertools.product(_GATES_ON_3, repeat=length)]
+    for tail in tails if head else [()]:
+        circuit = Circuit(3)
+        for name, qubits in head + list(tail):
+            getattr(circuit, name.lower())(*qubits)
+        for q in range(3):
+            circuit.h(q)
+        sequence = head + list(tail)
+        assert np.array_equal(sim._final_state(circuit), tensordot_reference(circuit)), sequence
+        assert list(sim.exact_distribution(circuit).items()) == list(
+            exact_distribution_reference(circuit).items()), sequence
+
+
 def test_final_state_memory_stays_a_few_states():
     """One 12-qubit, 80-gate evolution holds a few 64 KB states at a time and
-    keeps nothing but its result (no per-gate permutation or sign cache)."""
+    keeps nothing but its result: its gate plans are index tuples, cached
+    apart from any state, and so far smaller than one."""
     circuit = sim.random_clifford_circuit(12, 80, seed=8128)
     tracemalloc.start()
     try:
