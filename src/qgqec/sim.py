@@ -21,17 +21,17 @@ tuples.  Z and CZ never touch the array: they update a phase frame of
 Python ints (a Z mask, a CZ adjacency mask per qubit and a sign), which X
 and CNOT conjugate and which H and dense operators apply where they need
 it; qubits still in a basis state let CNOT, H and the frame skip work
-(``_evolve``).  X reverses its axis (no copy) and CNOT assigns the control-1 half
-from its target-reversed view; neither rounds, nor does a negation.  H and
-dense operators copy the view, transposed so that the gate's qubits come
-first and the rest ascend, into one contiguous operand: the one that
-``np.tensordot`` builds from the (2,) * n tensor.  So the one ``np.dot`` it
-would make, and the norm that renormalises a dense operator (summed in the
-same memory order), round alike: ``_final_state``, which applies the frame
-left at the end, equals a ``tensordot``-per-gate engine bit for bit (up to
-the sign of zeros).  ``exact_distribution`` leaves that frame unapplied,
-since it only changes signs, and renders all its keys, whose support may
-reach 2^16 states, in one numpy pass.
+(``_evolve``).  X reverses its axis (no copy) and CNOT assigns the
+control-1 half from its target-reversed view; neither rounds, nor does a
+negation.  H and dense operators copy the view, transposed so that the
+gate's qubits come first and the rest ascend, into one contiguous operand:
+the one that ``np.tensordot`` builds from the (2,) * n tensor.  So the one
+``np.dot`` it would make, and the norm that renormalises a dense operator
+(summed in the same memory order), round alike: ``_final_state``, which
+applies the frame left at the end, equals a ``tensordot``-per-gate engine
+bit for bit (up to the sign of zeros).  ``exact_distribution`` leaves that
+frame unapplied, since it only changes signs, and renders all its keys,
+whose support may reach 2^16 states, in one numpy pass.
 """
 
 from __future__ import annotations
@@ -206,9 +206,10 @@ def _evolve(circuit: Circuit) -> tuple[np.ndarray, tuple[int, list[int], int]]:
     its products are those of H on the negated half up to sign, so they
     round alike.  A dense operator first applies the whole frame.
 
-    Qubits that no H, dense operator or CNOT with such a control has
-    touched are in a basis state, 0 or 1 as X and CNOT flipped them, and the
-    other half of their axis holds only zeros.  So a CNOT with such a
+    A qubit that no H or dense operator has touched, and that no CNOT has
+    targeted from a control outside a basis state, is in a basis state, 0
+    or 1 as X and CNOT flipped it, and the other half of its axis holds
+    only zeros.  So a CNOT with such a
     control is nothing or an X on its target, a CZ term on such a qubit is
     nothing or a Z on the other qubit, and H (or H Z) on such a qubit is h
     times its nonzero half on both halves, up to a Z on it and a sign that
