@@ -230,7 +230,11 @@ def _evolve(circuit: Circuit) -> tuple[np.ndarray, tuple[int, list[int], int]]:
     basis, ones = (1 << n) - 1, 0  # qubits in a basis state, and those at 1
     for g in circuit.gates:
         name, qubits = g.name, g.qubits
-        plan = _plan(n, name, qubits)
+        try:
+            plan = _plan(n, name, qubits)
+        except TypeError:  # a hand-appended gate's qubits may be a list
+            qubits = tuple(qubits)
+            plan = _plan(n, name, qubits)
         if name == "Z":
             zmask ^= 1 << qubits[0]
         elif name == "CZ":

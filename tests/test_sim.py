@@ -110,6 +110,22 @@ def test_tableau_backends_refuse_a_qubit_out_of_range():
                 run(c)
 
 
+def test_hand_appended_gates_may_list_their_qubits():
+    """``Gate.qubits`` is documented as a tuple, but every engine also takes
+    a list, as the dense engine did before its gate plans were cached by
+    qubits; a bad list is refused with ``Circuit``'s message."""
+    listed, tupled = Circuit(3), Circuit(3)
+    for name, qubits in (("H", [0]), ("CNOT", [0, 2]), ("CZ", [2, 1]), ("X", [1]), ("H", [2])):
+        listed.gates.append(Gate(name, qubits))
+        tupled.gates.append(Gate(name, tuple(qubits)))
+    assert sim.exact_distribution(listed) == sim.exact_distribution(tupled)
+    assert np.array_equal(sim._final_state(listed), sim._final_state(tupled))
+    assert sim.tableau_distribution(listed) == sim.tableau_distribution(tupled)
+    listed.gates.append(Gate("X", [3]))
+    with pytest.raises(ValueError, match="qubit 3 out of range for 3 qubits"):
+        sim.exact_distribution(listed)
+
+
 def test_tableau_backends_refuse_17_random_measurements():
     """16 random measurements are the most either tableau path enumerates:
     2^16 outcomes are listed, and a 17th is refused by both alike."""
